@@ -4,10 +4,13 @@
 // detection every 50 cycles.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "flexnet.hpp"
 
@@ -378,6 +381,53 @@ void BM_CycleEnumerationCapped(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CycleEnumerationCapped);
+
+/// Knot cycle density of the knot the saturated TFAR network freezes into
+/// (71 VCs): the detector's per-knot characterization cost.
+void BM_KnotCycleDensity(benchmark::State& state) {
+  auto sim = saturated_sim(16, 0.5);
+  const Cwg cwg = Cwg::from_network(sim->network());
+  const std::vector<Knot> knots = find_knots(cwg);
+  if (knots.empty()) {
+    state.SkipWithError("saturated network holds no knot");
+    return;
+  }
+  const Knot& knot = *std::max_element(
+      knots.begin(), knots.end(), [](const Knot& a, const Knot& b) {
+        return a.knot_vcs.size() < b.knot_vcs.size();
+      });
+  const std::int64_t cap = DetectorConfig{}.knot_density_cap;
+  for (auto _ : state) {
+    const CycleEnumeration r = knot_cycle_density(cwg, knot, cap);
+    benchmark::DoNotOptimize(r.count);
+  }
+}
+BENCHMARK(BM_KnotCycleDensity);
+
+/// Host-speed calibration for bench/compare_bench.py: sorts a copy of 4096
+/// pseudo-random integers. It calls no flexnet code, so no library change
+/// can move it, and its ratio between two hosts approximates their general
+/// speed ratio.
+void BM_Calibration(benchmark::State& state) {
+  std::vector<std::uint32_t> input(4096);
+  std::uint32_t x = 2463534242U;  // xorshift32
+  for (auto& v : input) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    v = x;
+  }
+  benchmark::DoNotOptimize(input.data());
+  benchmark::ClobberMemory();
+  std::vector<std::uint32_t> work(input.size());
+  for (auto _ : state) {
+    std::copy(input.begin(), input.end(), work.begin());
+    std::sort(work.begin(), work.end());
+    benchmark::DoNotOptimize(work.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_Calibration);
 
 void BM_ImmobilityCheck(benchmark::State& state) {
   auto sim = saturated_sim(16, 0.5);

@@ -5,12 +5,13 @@ Compares a freshly produced benchmark summary against the committed baseline
 and fails (exit 1) when a gated benchmark regressed by more than the
 threshold. Raw nanoseconds are not comparable across hosts (the committed
 baseline and a CI runner differ in clock speed and contention), so both sides
-are first normalized by a calibration benchmark — BM_CycleEnumerationCapped,
-a pure CPU-bound graph kernel on a fixed synthetic graph, whose ratio
-between two hosts approximates their general speed ratio. (Calibration must
-be code the repo rarely touches: normalizing by e.g. BM_SccDense would turn
-any SCC optimization into a phantom regression of every gated benchmark.)
-The gate then compares *normalized* times:
+are first normalized by a calibration benchmark — BM_Calibration, a
+CPU-bound sort kernel defined in the bench file itself, whose ratio between
+two hosts approximates their general speed ratio. (Calibration must call no
+flexnet code: normalizing by a library kernel, as the gate once did with
+BM_CycleEnumerationCapped, turns any speedup of that kernel into a phantom
+regression of every gated benchmark.) The gate then compares *normalized*
+times:
 
     regression = (fresh[b] / fresh[cal]) / (base[b] / base[cal]) - 1
 
@@ -33,13 +34,13 @@ import sys
 # Benchmarks the gate enforces: the simulator cycle rate (saturated, light
 # load, and idle — the activity-gated scheduler's three regimes), the same
 # cycle under trace replay and a pace profile (the workload subsystem's
-# overhead budget), the worst-case (full-rebuild oracle) detection pass, and
-# one observability sample.
+# overhead budget), the worst-case (full-rebuild oracle) detection pass, the
+# cycle density of one real knot, and one observability sample.
 GATED = ["BM_NetworkStep/8", "BM_NetworkStep/16", "BM_NetworkStep/32",
          "BM_NetworkStepIdle/event", "BM_NetworkStepLowLoad/event",
          "BM_NetworkStepTraceReplay/iterations:4000", "BM_NetworkStepPaced",
-         "BM_FullDetectionPass", "BM_MetricsSample"]
-CALIBRATION = "BM_CycleEnumerationCapped"
+         "BM_FullDetectionPass", "BM_KnotCycleDensity", "BM_MetricsSample"]
+CALIBRATION = "BM_Calibration"
 
 # Sharded scaling gate: intra-summary wall-clock ratios on the fresh run, so
 # no cross-host calibration is involved. BM_NetworkStepSharded/0 is the

@@ -34,6 +34,10 @@ trap 'rm -f "${raw_json}"' EXIT
   --benchmark_out_format=json >&2
 
 git_sha="$(git -C "${repo_root}" rev-parse --short=12 HEAD 2>/dev/null || echo unknown)"
+# A summary recorded from uncommitted sources says so ("<sha>-dirty").
+if ! git -C "${repo_root}" diff --quiet HEAD -- 2>/dev/null; then
+  git_sha="${git_sha}-dirty"
+fi
 hw_threads="$(nproc 2>/dev/null || echo 1)"
 
 python3 - "${raw_json}" "${git_sha}" "${hw_threads}" "${FLEXNET_THREADS:-}" \

@@ -105,23 +105,32 @@ ReplayResult replay_capture(const Snapshot& snap) {
   result.knot_size = static_cast<int>(best->knot_vcs.size());
   result.cwg_hash = best_hash;
 
+  if (snap.meta.knot_cycle_density >= 0) {
+    result.knot_cycle_density =
+        knot_cycle_density(cwg, *best, snap.detector.knot_density_cap).count;
+  }
+
   const bool sizes_match =
       result.deadlock_set_size == snap.meta.deadlock_set_size &&
       result.resource_set_size == snap.meta.resource_set_size &&
       result.knot_size == snap.meta.knot_size;
   const bool hash_match = best_hash == snap.meta.cwg_hash;
-  result.matches = sizes_match && hash_match;
+  const bool density_match =
+      result.knot_cycle_density == snap.meta.knot_cycle_density;
+  result.matches = sizes_match && hash_match && density_match;
   if (!result.matches) {
-    char buf[256];
+    char buf[320];
     std::snprintf(buf, sizeof(buf),
-                  "recorded set/resource/knot=%d/%d/%d hash=%016llx, "
-                  "replayed %d/%d/%d hash=%016llx",
+                  "recorded set/resource/knot=%d/%d/%d hash=%016llx "
+                  "density=%lld, replayed %d/%d/%d hash=%016llx density=%lld",
                   snap.meta.deadlock_set_size, snap.meta.resource_set_size,
                   snap.meta.knot_size,
                   static_cast<unsigned long long>(snap.meta.cwg_hash),
+                  static_cast<long long>(snap.meta.knot_cycle_density),
                   result.deadlock_set_size, result.resource_set_size,
                   result.knot_size,
-                  static_cast<unsigned long long>(best_hash));
+                  static_cast<unsigned long long>(best_hash),
+                  static_cast<long long>(result.knot_cycle_density));
     result.detail = buf;
   }
   return result;

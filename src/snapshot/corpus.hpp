@@ -9,10 +9,10 @@
 // contributes one corpus entry, and capped to bound disk use.
 //
 // replay_capture() is the other half: restore the image, rebuild the CWG,
-// re-run knot detection, and check the fresh verdict against the recorded
-// metadata. A corpus therefore doubles as a regression suite for the
-// detector: any change that alters knot finding, quiescence filtering or
-// characterization trips a replay mismatch.
+// re-run knot detection and cycle-density enumeration, and check the fresh
+// verdict against the recorded metadata. A corpus therefore doubles as a
+// regression suite for the detector: any change that alters knot finding,
+// quiescence filtering or characterization trips a replay mismatch.
 #pragma once
 
 #include <cstdint>
@@ -83,11 +83,15 @@ struct ReplayResult {
   int resource_set_size = 0;
   int knot_size = 0;
   std::uint64_t cwg_hash = 0;
+  /// Re-enumerated under the snapshot's detector.knot_density_cap; -1 when
+  /// the capture recorded no density.
+  std::int64_t knot_cycle_density = -1;
   std::string detail;  ///< Human-readable mismatch description (empty on match).
 };
 
 /// Restores a DeadlockCapture snapshot and re-runs knot detection on the
-/// restored network, comparing against the snapshot's recorded verdict.
+/// restored network, comparing against the snapshot's recorded verdict:
+/// sizes, canonical hash and, when recorded, the knot cycle density.
 /// Throws std::runtime_error if the snapshot is not a DeadlockCapture.
 [[nodiscard]] ReplayResult replay_capture(const Snapshot& snap);
 

@@ -1,8 +1,8 @@
 // Replays the committed deadlock corpus (tests/corpus/*.snap): every capture
 // must decode, restore, and re-produce the recorded knot — same canonical
-// CWG hash, same deadlock/resource set sizes — when detection is re-run on
-// the restored network. This pins the snapshot format AND the detector's
-// verdict against regressions.
+// CWG hash, same deadlock/resource set sizes, same knot cycle density — when
+// detection is re-run on the restored network. This pins the snapshot format
+// AND the detector's verdict against regressions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -51,6 +51,23 @@ TEST(CommittedCorpus, EveryCaptureReplaysWithMatchingVerdict) {
     EXPECT_EQ(replay.cwg_hash, snap.meta.cwg_hash);
     EXPECT_EQ(replay.deadlock_set_size, snap.meta.deadlock_set_size);
     EXPECT_EQ(replay.resource_set_size, snap.meta.resource_set_size);
+    EXPECT_GE(snap.meta.knot_cycle_density, 1) << "capture recorded no density";
+    EXPECT_EQ(replay.knot_cycle_density, snap.meta.knot_cycle_density);
+  }
+}
+
+TEST(CommittedCorpus, MutatedDensityDoesNotReplay) {
+  const std::vector<std::string> files = corpus_files();
+  ASSERT_FALSE(files.empty());
+  for (const std::string& path : files) {
+    SCOPED_TRACE(path);
+    Snapshot snap = read_snapshot_file(path);
+    ++snap.meta.knot_cycle_density;
+    const ReplayResult replay = replay_capture(snap);
+    EXPECT_TRUE(replay.knot_found);
+    EXPECT_EQ(replay.cwg_hash, snap.meta.cwg_hash);
+    EXPECT_FALSE(replay.matches);
+    EXPECT_NE(replay.detail.find("density"), std::string::npos) << replay.detail;
   }
 }
 

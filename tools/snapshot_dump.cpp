@@ -2,8 +2,9 @@
 //
 //   snapshot_dump FILE...            print each snapshot's header + configs
 //   snapshot_dump --replay FILE...   additionally restore each DeadlockCapture
-//                                    and re-run knot detection, checking the
-//                                    fresh verdict against the recorded one
+//                                    and re-run knot detection and density,
+//                                    checking the fresh verdict against the
+//                                    recorded one
 //
 // Exit status: 0 when every file decodes (and, with --replay, every capture
 // reproduces its recorded verdict), 1 otherwise — so the corpus doubles as a
@@ -85,9 +86,12 @@ bool replay_one(const std::string& path, const Snapshot& snap) {
   }
   const ReplayResult r = replay_capture(snap);
   if (r.matches) {
-    std::printf("  replay      OK: set %d, resources %d, VCs %d, hash %016llx\n",
-                r.deadlock_set_size, r.resource_set_size, r.knot_size,
-                static_cast<unsigned long long>(r.cwg_hash));
+    std::printf(
+        "  replay      OK: set %d, resources %d, VCs %d, density %lld, "
+        "hash %016llx\n",
+        r.deadlock_set_size, r.resource_set_size, r.knot_size,
+        static_cast<long long>(r.knot_cycle_density),
+        static_cast<unsigned long long>(r.cwg_hash));
     return true;
   }
   std::fprintf(stderr, "%s: replay MISMATCH: %s\n", path.c_str(),
