@@ -55,7 +55,12 @@ BENCHMARK(BM_NetworkStep)->Arg(8)->Arg(16)->Arg(32);
 /// identical harness so the single-shard overhead is measured like-for-like.
 /// Wall clock (UseRealTime) is the honest metric for a multi-threaded step:
 /// the compare_bench.py gate enforces /8 at >= 3x over /1 and /1 within 10%
-/// of /0 on real time within one summary.
+/// of /0 on real time within one summary. Every arg steps the same fixed
+/// number of cycles from the same warm start, so the legs average over the
+/// same stretch of simulated time instead of whatever iteration count
+/// google-benchmark picks for each.
+constexpr int kShardedIterations = 10000;
+
 void BM_NetworkStepSharded(benchmark::State& state) {
   const int shards = static_cast<int>(state.range(0));
   ExperimentConfig cfg;
@@ -82,6 +87,7 @@ BENCHMARK(BM_NetworkStepSharded)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
+    ->Iterations(kShardedIterations)
     ->UseRealTime();
 
 /// Empty-network cycle rate: the activity-gated scheduler's floor. With no

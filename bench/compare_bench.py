@@ -47,10 +47,12 @@ CALIBRATION = "BM_Calibration"
 # serial engine in the identical harness, /1 the one-shard engine (inline
 # pool, no worker threads), /8 the scaling headline. The speedup leg only
 # runs on hosts with >= 8 hardware threads (metadata.hardware_concurrency);
-# the overhead leg is thread-free and always applies.
-SHARDED_SERIAL = "BM_NetworkStepSharded/0/real_time"
-SHARDED_ONE = "BM_NetworkStepSharded/1/real_time"
-SHARDED_MANY = "BM_NetworkStepSharded/8/real_time"
+# the overhead leg is thread-free and always applies. Every arg steps the
+# same pinned cycle count (kShardedIterations in bench_micro_core.cpp), which
+# google-benchmark writes into the name.
+SHARDED_SERIAL = "BM_NetworkStepSharded/0/iterations:10000/real_time"
+SHARDED_ONE = "BM_NetworkStepSharded/1/iterations:10000/real_time"
+SHARDED_MANY = "BM_NetworkStepSharded/8/iterations:10000/real_time"
 MIN_SHARDED_SPEEDUP = 3.0   # /1 vs /8 wall clock
 MAX_SHARD_OVERHEAD = 0.10   # /1 vs /0 wall clock
 

@@ -12,7 +12,7 @@
 #include "telemetry/profiler.hpp"
 #include "topo/factory.hpp"
 #include "util/binio.hpp"
-#include "util/parallel.hpp"  // WorkerPool completeness for ~Network()
+#include "util/parallel.hpp"
 
 namespace flexnet {
 
@@ -68,24 +68,6 @@ void Network::trace(TraceEventKind kind, MessageId msg, VcId vc, VcId vc2,
                    ? node
                    : phys(vcs_[static_cast<std::size_t>(vc)].channel).dst;
   hooks_.tracer->emit(event);
-}
-
-// Diffs the previous request set (stashed in scratch_old_requests_) against
-// the new one and emits the CWG dashed-arc delta. Request sets are tiny (one
-// entry per candidate VC), so the quadratic scan is cheaper than sorting.
-void Network::trace_request_set_change(const Message& msg, VcId head_vc) {
-  for (const VcId want : msg.request_set) {
-    if (std::find(scratch_old_requests_.begin(), scratch_old_requests_.end(),
-                  want) == scratch_old_requests_.end()) {
-      trace(TraceEventKind::CwgArcAdded, msg.id, want, head_vc);
-    }
-  }
-  for (const VcId had : scratch_old_requests_) {
-    if (std::find(msg.request_set.begin(), msg.request_set.end(), had) ==
-        msg.request_set.end()) {
-      trace(TraceEventKind::CwgArcRemoved, msg.id, had, head_vc);
-    }
-  }
 }
 
 Network::Network(const SimConfig& config, NetworkDeps deps)
@@ -157,9 +139,7 @@ Network::Network(const SimConfig& config, NetworkDeps deps)
 
   source_queues_.resize(static_cast<std::size_t>(nodes));
 
-  src_active_.reset(static_cast<std::size_t>(nodes));
-  eject_active_.reset(static_cast<std::size_t>(nodes));
-  chan_active_.reset(phys_.size());
+  set_shards(0);  // the serial engine: one shard, stepped inline
 
   if (config_.link_fault_fraction > 0.0) inject_link_faults();
 
@@ -272,76 +252,33 @@ double Network::capacity_flits_per_node(double avg_distance) const noexcept {
 }
 
 void Network::step() {
-  if (sharded_) {
-    step_sharded();
-    ++now_;
-    return;
+  if (step_dense_) {
+    // The dense oracle: schedule every reception interface and channel. The
+    // live-scan sweeps then visit each exactly once, in id order, as dense
+    // loops would (DESIGN.md §3h). The source set is exact and needs no fill.
+    const NodeId nodes = topo_->num_nodes();
+    for (NodeId node = 0; node < nodes; ++node) sched_insert_eject(node);
+    for (const PhysChannel& pc : phys_) sched_wake_channel(pc.id);
   }
-  if (hooks_.profiler == nullptr) {
-    deliver_phase();
-    route_phase();
-    transmit_phase();
-  } else {
-    {
-      ScopedPhase timer(hooks_.profiler, SimPhase::Deliver);
-      deliver_phase();
-    }
-    {
-      ScopedPhase timer(hooks_.profiler, SimPhase::Route);
-      route_phase();
-    }
-    {
-      ScopedPhase timer(hooks_.profiler, SimPhase::Transmit);
+  {
+    ScopedPhase timer(hooks_.profiler, SimPhase::Deliver);
+    pool_->run([this](std::size_t s) { deliver_shard(shard_ctx_[s]); });
+    commit_deliver();
+  }
+  {
+    ScopedPhase timer(hooks_.profiler, SimPhase::Route);
+    pool_->run([this](std::size_t s) { route_shard(shard_ctx_[s]); });
+    commit_route();
+  }
+  {
+    ScopedPhase timer(hooks_.profiler, SimPhase::Transmit);
+    if (sharded_) {
+      transmit_phase_sharded();
+    } else {
       transmit_phase();
     }
   }
   ++now_;
-}
-
-// Each phase enumerates either every component (dense oracle) or only the
-// scheduled ones (event-driven default); the per-component workers are
-// shared, so the two paths are the same code acting on the same state in the
-// same ascending id order. ActiveSet's live-scan semantics make the orders
-// coincide exactly: a component woken ahead of the cursor is visited this
-// sweep (as the dense loop would), one woken behind the cursor stays
-// scheduled for the next cycle (the dense loop's earlier visit this cycle
-// happened before the enabling event and was a no-op).
-void Network::deliver_phase() {
-  if (step_dense_) {
-    const NodeId nodes = topo_->num_nodes();
-    for (NodeId node = 0; node < nodes; ++node) deliver_node(node);
-  } else {
-    for (std::int32_t node = eject_active_.first(); node != -1;
-         node = eject_active_.next_after(node)) {
-      deliver_node(node);
-    }
-  }
-}
-
-void Network::deliver_node(NodeId node) {
-  PhysChannel& pc = phys_[static_cast<std::size_t>(ejection_channel(node))];
-  for (int j = 0; j < pc.num_vcs; ++j) {
-    const int idx = (pc.rr_cursor + j) % pc.num_vcs;
-    VcState& w = vcs_[static_cast<std::size_t>(pc.first_vc + idx)];
-    if (w.buffer.empty() || w.buffer.front().arrived >= now_) continue;
-    const Flit flit = w.buffer.pop();
-    wake_channel(pc.id);  // freed buffer space: the ejector can pull again
-    Message& msg = messages_[static_cast<std::size_t>(flit.message)];
-    ++msg.flits_delivered;
-    ++counters_.flits_delivered;
-    if (hooks_.tracer != nullptr) {
-      trace(TraceEventKind::FlitDelivered, msg.id, w.id, kInvalidVc, flit.seq);
-    }
-    if (flit.is_tail_of(msg.length)) complete_delivery(msg, w);
-    pc.rr_cursor = (idx + 1) % pc.num_vcs;
-    break;  // one flit per reception channel per cycle
-  }
-  // Stay scheduled while any flit is buffered (it may merely be too young
-  // to deliver this cycle); deschedule once the ejection VCs drain.
-  for (int i = 0; i < pc.num_vcs; ++i) {
-    if (!vcs_[static_cast<std::size_t>(pc.first_vc + i)].buffer.empty()) return;
-  }
-  eject_active_.erase(node);
 }
 
 void Network::complete_delivery(Message& msg, VcState& eject_vc) {
@@ -377,179 +314,15 @@ void Network::deactivate(Message& msg) {
   active_pos_[static_cast<std::size_t>(msg.id)] = -1;
 }
 
-void Network::route_phase() {
-  blocked_count_ = 0;
-
-  // Grant injection VCs to source-queue heads. src_active_ is exactly the
-  // nodes with a non-empty queue, so the event path visits the same nodes
-  // the dense path's emptiness check admits.
-  if (step_dense_) {
-    const NodeId nodes = topo_->num_nodes();
-    for (NodeId node = 0; node < nodes; ++node) route_node_grants(node);
-  } else {
-    for (std::int32_t node = src_active_.first(); node != -1;
-         node = src_active_.next_after(node)) {
-      route_node_grants(node);
-    }
-  }
-
-  // Retry every unrouted header (fair rotation across cycles).
-  scratch_pending_.clear();
-  const std::size_t count = pending_.size();
-  const std::size_t offset =
-      count == 0 ? 0 : static_cast<std::size_t>(now_) % count;
-  for (std::size_t i = 0; i < count; ++i) {
-    const VcId head_vc = pending_[(offset + i) % count];
-    if (!try_route_header(head_vc)) {
-      scratch_pending_.push_back(head_vc);
-      ++blocked_count_;
-    }
-  }
-  pending_.swap(scratch_pending_);
-}
-
-void Network::route_node_grants(NodeId node) {
-  const auto& queue = source_queues_[static_cast<std::size_t>(node)];
-  if (queue.empty()) return;
-  try_injection_grants(node);
-  if (queue.empty()) {
-    src_active_.erase(node);
-  } else if (hooks_.heatmap != nullptr) {
-    // A still-waiting head after the grant pass is an injection stall.
-    hooks_.heatmap->on_injection_stall(node);
-  }
-}
-
-void Network::try_injection_grants(NodeId node) {
-  auto& queue = source_queues_[static_cast<std::size_t>(node)];
-  const PhysChannel& pc =
-      phys_[static_cast<std::size_t>(injection_channel(node))];
-  for (int i = 0; i < pc.num_vcs && !queue.empty(); ++i) {
-    VcState& vc = vcs_[static_cast<std::size_t>(pc.first_vc + i)];
-    if (!vc.is_free()) continue;
-    Message& msg = messages_[static_cast<std::size_t>(queue.front())];
-    queue.pop_front();
-    vc.owner = msg.id;
-    vc.route_in = kInvalidVc;  // fed directly by the source
-    msg.held.push_back(vc.id);
-    ++arc_epoch_;  // a new ownership chain enters the CWG
-    msg.status = MessageStatus::InFlight;
-    msg.injected = now_;
-    active_pos_[static_cast<std::size_t>(msg.id)] =
-        static_cast<std::int32_t>(active_.size());
-    active_.push_back(msg.id);
-    ++counters_.injected;
-    wake_channel(pc.id);  // the injection channel now has source flits to push
-    if (hooks_.tracer != nullptr) {
-      trace(TraceEventKind::VcAllocated, msg.id, vc.id);
-      trace(TraceEventKind::MessageInjected, msg.id, vc.id, kInvalidVc,
-            static_cast<std::int32_t>(class_index(msg.cls)));
-    }
-  }
-}
-
-bool Network::try_route_header(VcId head_vc) {
-  VcState& v = vcs_[static_cast<std::size_t>(head_vc)];
-  assert(v.owner != kInvalidMessage && v.route_out == kInvalidVc);
-  assert(!v.buffer.empty() && v.buffer.front().is_head());
-  Message& msg = messages_[static_cast<std::size_t>(v.owner)];
-  const NodeId here = phys(v.channel).dst;
-
-  scratch_channels_.clear();
-  const bool ejecting = (here == msg.dst);
-  if (ejecting) {
-    scratch_channels_.push_back(ejection_channel(here));
-  } else {
-    routing_->candidate_channels(*this, msg, here, v.id, scratch_channels_);
-    assert(!scratch_channels_.empty());
-    selection_->order(*this, msg, v.id, scratch_channels_, rng_);
-  }
-
-  scratch_vcs_.clear();
-  const bool high_first = routing_->prefer_high_vc_indices();
-  for (const ChannelId ch : scratch_channels_) {
-    const PhysChannel& pc = phys(ch);
-    for (int j = 0; j < pc.num_vcs; ++j) {
-      const int idx = high_first ? pc.num_vcs - 1 - j : j;
-      if (pc.kind == ChannelKind::Network &&
-          !routing_->vc_allowed(*this, msg, ch, idx, v.id)) {
-        continue;
-      }
-      scratch_vcs_.push_back(pc.first_vc + idx);
-    }
-  }
-  assert(!scratch_vcs_.empty());
-
-  for (const VcId candidate : scratch_vcs_) {
-    VcState& w = vcs_[static_cast<std::size_t>(candidate)];
-    if (w.is_free()) {
-      acquire_vc(msg, v, w);
-      return true;
-    }
-  }
-
-  const bool newly_blocked = !msg.blocked;
-  // Dashed arcs change only when the message first blocks or its recomputed
-  // candidate set differs from last cycle's (a stable blocked header re-fails
-  // with the same request set and leaves the CWG untouched).
-  if (newly_blocked || msg.request_set != scratch_vcs_) ++arc_epoch_;
-  if (newly_blocked) {
-    msg.blocked = true;
-    msg.blocked_since = now_;
-  }
-  if (hooks_.tracer != nullptr) {
-    scratch_old_requests_.assign(msg.request_set.begin(), msg.request_set.end());
-    msg.request_set.assign(scratch_vcs_.begin(), scratch_vcs_.end());
-    if (newly_blocked) {
-      trace(TraceEventKind::MessageBlocked, msg.id, head_vc, kInvalidVc,
-            static_cast<std::int32_t>(msg.request_set.size()));
-    }
-    trace_request_set_change(msg, head_vc);
-  } else {
-    msg.request_set.assign(scratch_vcs_.begin(), scratch_vcs_.end());
-  }
-  return false;
-}
-
-void Network::acquire_vc(Message& msg, VcState& from, VcState& target) {
-  assert(target.is_free() && target.buffer.empty());
-  assert(!phys(target.channel).faulted);
-  if (hooks_.tracer != nullptr) {
-    for (const VcId want : msg.request_set) {
-      trace(TraceEventKind::CwgArcRemoved, msg.id, want, from.id);
-    }
-    trace(TraceEventKind::VcAllocated, msg.id, target.id, from.id);
-    if (msg.blocked) {
-      trace(TraceEventKind::MessageUnblocked, msg.id, target.id, from.id,
-            static_cast<std::int32_t>(now_ - msg.blocked_since));
-    }
-  }
-  target.owner = msg.id;
-  target.route_in = from.id;
-  from.route_out = target.id;
-  msg.held.push_back(target.id);
-  ++arc_epoch_;  // new solid arc; the unblocked message drops its dashed arcs
-  // The target's channel can start pulling from `from` (which holds at least
-  // the header flit that just routed).
-  wake_channel(target.channel);
-
-  const PhysChannel& pc = phys(target.channel);
-  if (pc.kind == ChannelKind::Network) {
-    ++msg.hops;
-    if (!topo_->hop_is_minimal(topo_->channel(pc.id), msg.dst)) ++msg.misroutes;
-  }
-  msg.blocked = false;
-  msg.request_set.clear();
-}
-
+// The serial engine's transmit: one same-cycle sweep over its single shard,
+// so a flit that frees buffer space lets a higher-numbered channel pull into
+// it in the same cycle (compaction chains along ascending channel ids). The
+// sharded engine decides against cycle-start state instead (DESIGN.md §3j).
 void Network::transmit_phase() {
-  if (step_dense_) {
-    for (PhysChannel& pc : phys_) transmit_channel(pc);
-  } else {
-    for (std::int32_t ch = chan_active_.first(); ch != -1;
-         ch = chan_active_.next_after(ch)) {
-      transmit_channel(phys_[static_cast<std::size_t>(ch)]);
-    }
+  ShardCtx& ctx = shard_ctx_.front();
+  for (std::int32_t ch = ctx.chan_active.first(); ch != -1;
+       ch = ctx.chan_active.next_after(ch)) {
+    transmit_channel(phys_[static_cast<std::size_t>(ch)], ctx);
   }
 }
 
@@ -573,7 +346,7 @@ bool Network::transmit_work_possible(const PhysChannel& pc) const {
   return false;
 }
 
-void Network::transmit_channel(PhysChannel& pc) {
+void Network::transmit_channel(PhysChannel& pc, ShardCtx& ctx) {
   bool moved = false;
   if (pc.kind == ChannelKind::Injection) {
     for (int j = 0; j < pc.num_vcs; ++j) {
@@ -592,7 +365,8 @@ void Network::transmit_channel(PhysChannel& pc) {
       if (flit.is_head()) pending_.push_back(w.id);
       if (w.route_out != kInvalidVc) {
         // A routed head is already downstream; feed its channel.
-        wake_channel(vcs_[static_cast<std::size_t>(w.route_out)].channel);
+        ctx.chan_active.insert(
+            vcs_[static_cast<std::size_t>(w.route_out)].channel);
       }
       if (hooks_.heatmap != nullptr) hooks_.heatmap->on_traversal(pc.id, w.id);
       if (hooks_.tracer != nullptr) {
@@ -606,7 +380,7 @@ void Network::transmit_channel(PhysChannel& pc) {
     // A channel that just moved a flit stays scheduled (it is revisited and
     // re-checked next cycle anyway); only a fruitless visit pays the full
     // work scan to decide whether to deschedule.
-    if (!moved && !transmit_work_possible(pc)) chan_active_.erase(pc.id);
+    if (!moved && !transmit_work_possible(pc)) ctx.chan_active.erase(pc.id);
     return;
   }
 
@@ -620,7 +394,7 @@ void Network::transmit_channel(PhysChannel& pc) {
     if (u.buffer.empty() || u.buffer.front().arrived >= now_) continue;
     Flit flit = u.buffer.pop();
     assert(flit.message == w.owner);
-    wake_channel(u.channel);  // freed buffer space upstream
+    ctx.chan_active.insert(u.channel);  // freed buffer space upstream
     Message& msg = messages_[static_cast<std::size_t>(flit.message)];
     const bool tail_left_upstream = flit.is_tail_of(msg.length);
     if (tail_left_upstream) {
@@ -633,9 +407,10 @@ void Network::transmit_channel(PhysChannel& pc) {
     flit.arrived = now_;
     w.buffer.push(flit);
     if (pc.kind == ChannelKind::Ejection) {
-      eject_active_.insert(pc.dst);  // the reception interface has work
+      ctx.eject_active.insert(pc.dst);  // the reception interface has work
     } else if (w.route_out != kInvalidVc) {
-      wake_channel(vcs_[static_cast<std::size_t>(w.route_out)].channel);
+      ctx.chan_active.insert(
+          vcs_[static_cast<std::size_t>(w.route_out)].channel);
     }
     if (hooks_.heatmap != nullptr) hooks_.heatmap->on_traversal(pc.id, w.id);
     if (hooks_.tracer != nullptr) {
@@ -651,7 +426,7 @@ void Network::transmit_channel(PhysChannel& pc) {
     moved = true;
     break;  // one flit per physical channel per cycle
   }
-  if (!moved && !transmit_work_possible(pc)) chan_active_.erase(pc.id);
+  if (!moved && !transmit_work_possible(pc)) ctx.chan_active.erase(pc.id);
 }
 
 void Network::remove_message(MessageId id) {
@@ -776,8 +551,8 @@ void Network::check_invariants() const {
   }
 
   // Active-set coverage: the event-driven core must never deschedule a
-  // component that still has work. src_active_ is exact; the other two are
-  // supersets (stale entries self-erase on their next visit).
+  // component that still has work. The source sets are exact; the other two
+  // are supersets (stale entries self-erase on their next visit).
   const NodeId nodes = topo_->num_nodes();
   for (NodeId node = 0; node < nodes; ++node) {
     if (!source_queues_[static_cast<std::size_t>(node)].empty() !=
@@ -798,35 +573,30 @@ void Network::check_invariants() const {
       invariant_failure("transmittable work on a descheduled channel");
     }
   }
-  if (sharded_) {
-    // Per-shard sets must hold only components the shard owns.
-    for (const ShardCtx& ctx : shard_ctx_) {
-      for (std::int32_t n = ctx.src_active.first(); n != -1;
-           n = ctx.src_active.next_after(n)) {
-        if (shard_of_node(n) != ctx.shard) {
-          invariant_failure("source node scheduled on a foreign shard");
-        }
+  // Per-shard sets must hold only components the shard owns.
+  for (const ShardCtx& ctx : shard_ctx_) {
+    for (std::int32_t n = ctx.src_active.first(); n != -1;
+         n = ctx.src_active.next_after(n)) {
+      if (shard_of_node(n) != ctx.shard) {
+        invariant_failure("source node scheduled on a foreign shard");
       }
-      for (std::int32_t n = ctx.eject_active.first(); n != -1;
-           n = ctx.eject_active.next_after(n)) {
-        if (shard_of_node(n) != ctx.shard) {
-          invariant_failure("ejection node scheduled on a foreign shard");
-        }
+    }
+    for (std::int32_t n = ctx.eject_active.first(); n != -1;
+         n = ctx.eject_active.next_after(n)) {
+      if (shard_of_node(n) != ctx.shard) {
+        invariant_failure("ejection node scheduled on a foreign shard");
       }
-      for (std::int32_t ch = ctx.chan_active.first(); ch != -1;
-           ch = ctx.chan_active.next_after(ch)) {
-        if (shard_of_channel(ch) != ctx.shard) {
-          invariant_failure("channel scheduled on a foreign shard");
-        }
+    }
+    for (std::int32_t ch = ctx.chan_active.first(); ch != -1;
+         ch = ctx.chan_active.next_after(ch)) {
+      if (shard_of_channel(ch) != ctx.shard) {
+        invariant_failure("channel scheduled on a foreign shard");
       }
     }
   }
 }
 
 void Network::rebuild_active_sets() {
-  src_active_.clear();
-  eject_active_.clear();
-  chan_active_.clear();
   for (ShardCtx& ctx : shard_ctx_) {
     ctx.src_active.clear();
     ctx.eject_active.clear();

@@ -23,7 +23,6 @@
 #include <memory>
 #include <vector>
 
-#include "sim/active.hpp"
 #include "sim/channel.hpp"
 #include "sim/config.hpp"
 #include "sim/message.hpp"
@@ -182,17 +181,21 @@ class Network {
 
   /// Selects the dense per-cycle sweep (every node and channel visited every
   /// cycle) instead of the default event-driven active-set core. The dense
-  /// loop is the lockstep oracle — both paths produce byte-identical state,
-  /// traces, and counters (tests/test_step_equivalence.cpp) — kept behind
-  /// --step-dense the same way --detector-full-rebuild keeps the detection
-  /// oracle. Safe to flip between steps: the active sets are maintained in
-  /// both modes.
+  /// sweep schedules every reception interface and channel at the top of
+  /// step() and otherwise runs the event core unchanged, so it is the
+  /// lockstep oracle for the wakeup bookkeeping — both paths produce
+  /// byte-identical state, traces, and counters
+  /// (tests/test_step_equivalence.cpp) — kept behind --step-dense the same
+  /// way --detector-full-rebuild keeps the detection oracle. Safe to flip
+  /// between steps.
   void set_step_dense(bool dense) noexcept { step_dense_ = dense; }
   [[nodiscard]] bool step_dense() const noexcept { return step_dense_; }
 
   /// Selects the sharded parallel stepping engine with `shards` spatial
   /// domains (>= 1; one worker thread per shard, the caller participating),
-  /// or restores the serial engine with 0. Safe to flip between steps.
+  /// or restores the serial engine with 0 — one shard, stepped inline on the
+  /// calling thread. Both run the same deliver and route workers. Safe to
+  /// flip between steps.
   ///
   /// The sharded engine is deterministic in the strong sense the serial
   /// engine pairs are: every shard count from 1 upward produces byte-
@@ -213,22 +216,19 @@ class Network {
   }
 
   /// Scheduler introspection: how many components the event-driven core will
-  /// visit next cycle. All zero on an idle network. Sharded mode sums the
-  /// per-shard sets (they partition the components, so counts compose).
+  /// visit next cycle. All zero on an idle network. Sums the per-shard sets
+  /// (they partition the components, so counts compose).
   [[nodiscard]] std::size_t active_source_nodes() const noexcept {
-    if (!sharded_) return src_active_.count();
     std::size_t n = 0;
     for (const ShardCtx& ctx : shard_ctx_) n += ctx.src_active.count();
     return n;
   }
   [[nodiscard]] std::size_t active_eject_nodes() const noexcept {
-    if (!sharded_) return eject_active_.count();
     std::size_t n = 0;
     for (const ShardCtx& ctx : shard_ctx_) n += ctx.eject_active.count();
     return n;
   }
   [[nodiscard]] std::size_t active_channels() const noexcept {
-    if (!sharded_) return chan_active_.count();
     std::size_t n = 0;
     for (const ShardCtx& ctx : shard_ctx_) n += ctx.chan_active.count();
     return n;
@@ -275,32 +275,22 @@ class Network {
  private:
   void inject_link_faults();
   [[nodiscard]] bool network_strongly_connected() const;
-  void deliver_phase();
-  void route_phase();
-  void transmit_phase();
 
-  // Per-component workers shared by the dense and event-driven sweeps (the
-  // two paths differ only in which components they enumerate). Each worker
-  // also maintains the active sets, so dense-mode runs keep them valid and
-  // the step mode can be flipped at any cycle boundary.
-  void deliver_node(NodeId node);
-  void route_node_grants(NodeId node);
-  void transmit_channel(PhysChannel& pc);
-  /// Superset condition keeping a channel in chan_active_: some owned VC
-  /// could move a flit now or next cycle (flit age is deliberately ignored —
-  /// a flit that arrived this cycle becomes movable on the next one).
+  // The serial engine's same-cycle transmit sweep over its single shard.
+  void transmit_phase();
+  void transmit_channel(PhysChannel& pc, ShardCtx& ctx);
+  /// Superset condition keeping a channel scheduled: some owned VC could
+  /// move a flit now or next cycle (flit age is deliberately ignored — a
+  /// flit that arrived this cycle becomes movable on the next one).
   [[nodiscard]] bool transmit_work_possible(const PhysChannel& pc) const;
-  /// Schedules a physical channel's wakeup (idempotent). Serial engine only;
-  /// sharded workers insert into their own ShardCtx (or its wake outbox).
-  void wake_channel(ChannelId ch) noexcept { chan_active_.insert(ch); }
-  /// Recomputes all three active sets from current state (constructor and
-  /// snapshot restore; the sets are never serialized). Fills the per-shard
-  /// slices instead when the sharded engine is active.
+  /// Recomputes the per-shard active sets from current state (set_shards and
+  /// snapshot restore; the sets are never serialized).
   void rebuild_active_sets();
 
-  // --- sharded engine (src/sim/network_sharded.cpp, DESIGN.md §3j) ---------
+  // --- shard workers, run by every step mode (network_sharded.cpp, §3j) ---
   // Scheduler routing for main-thread mutations (enqueue_message,
-  // remove_message, restore_state) that must land in the right shard's sets.
+  // remove_message, restore_state, the dense fill) that must land in the
+  // right shard's sets.
   void sched_insert_src(NodeId node);
   void sched_insert_eject(NodeId node);
   void sched_wake_channel(ChannelId ch);
@@ -315,18 +305,18 @@ class Network {
     return shard_chan_[static_cast<std::size_t>(ch)];
   }
 
-  void step_sharded();
-  void deliver_phase_sharded();
   void deliver_shard(ShardCtx& ctx);
   void commit_deliver();
-  void route_phase_sharded();
   void route_shard(ShardCtx& ctx);
-  void route_grants_sharded(NodeId node, ShardCtx& ctx);
-  bool try_route_header_sharded(VcId head_vc, std::uint32_t scan_index,
-                                ShardCtx& ctx);
-  void acquire_vc_sharded(Message& msg, VcState& from, VcState& target,
-                          std::uint64_t trace_key, ShardCtx& ctx);
+  void route_grants(NodeId node, ShardCtx& ctx);
+  /// Attempts allocation for the unrouted header in `head_vc`; returns true
+  /// on success. `scan_index` is its position in this cycle's rotated scan.
+  bool try_route_header(VcId head_vc, std::uint32_t scan_index,
+                        ShardCtx& ctx);
+  void acquire_vc(Message& msg, VcState& from, VcState& target,
+                  std::uint64_t trace_key, ShardCtx& ctx);
   void commit_route();
+  // The sharded engine's transmit: decide/pop/push against cycle-start state.
   void transmit_phase_sharded();
   void transmit_decide_shard(ShardCtx& ctx);
   void transmit_pop_shard(ShardCtx& ctx);
@@ -334,25 +324,24 @@ class Network {
   void commit_transmit();
   /// Buffers a trace event (no-op without a tracer); emitted at phase commit
   /// in ascending key order.
-  void trace_sharded(ShardCtx& ctx, std::uint64_t key, TraceEventKind kind,
-                     MessageId msg, VcId vc, VcId vc2 = kInvalidVc,
-                     std::int32_t arg = 0, NodeId node = kInvalidNode);
+  void trace_buffered(ShardCtx& ctx, std::uint64_t key, TraceEventKind kind,
+                      MessageId msg, VcId vc, VcId vc2 = kInvalidVc,
+                      std::int32_t arg = 0, NodeId node = kInvalidNode);
   /// Emits each shard's key-sorted trace buffer in one globally ascending
-  /// k-way merge, then clears the buffers.
-  void flush_sharded_traces();
+  /// merge, then clears the buffers.
+  void flush_buffered_traces();
+  /// Calls visit(item) on the items of every shard's `buffer` in ascending
+  /// key(item) order. Each buffer is key-sorted and keys are unique across
+  /// shards, so the order is the one a single shard would have produced.
+  template <typename Item, typename Key, typename Visit>
+  void merge_shards(std::vector<Item> ShardCtx::*buffer, Key key,
+                    Visit visit);
 
   /// Emits a trace event when a tracer is attached. `vc`'s downstream router
   /// is the event's location unless `node` overrides it.
   void trace(TraceEventKind kind, MessageId msg, VcId vc,
              VcId vc2 = kInvalidVc, std::int32_t arg = 0,
              NodeId node = kInvalidNode);
-  void trace_request_set_change(const Message& msg, VcId head_vc);
-
-  void try_injection_grants(NodeId node);
-  /// Attempts allocation for the unrouted header in `head_vc`; returns true
-  /// on success.
-  bool try_route_header(VcId head_vc);
-  void acquire_vc(Message& msg, VcState& from, VcState& target);
   void complete_delivery(Message& msg, VcState& eject_vc);
   void deactivate(Message& msg);
 
@@ -381,23 +370,14 @@ class Network {
   NetworkHooks hooks_;
   bool step_dense_ = false;
 
-  // Event-driven scheduling state (never serialized; rebuilt on restore).
-  // Invariants, maintained in both step modes:
-  //   src_active_   == nodes with a non-empty source queue (exact);
-  //   eject_active_ ⊇ nodes with any buffered flit in an ejection VC;
-  //   chan_active_  ⊇ channels with transmit_work_possible().
-  ActiveSet src_active_;
-  ActiveSet eject_active_;
-  ActiveSet chan_active_;
-
-  // scratch buffers reused across cycles to avoid per-cycle allocation
-  std::vector<ChannelId> scratch_channels_;
-  std::vector<VcId> scratch_vcs_;
-  std::vector<VcId> scratch_pending_;
-  std::vector<VcId> scratch_old_requests_;  // tracing only
-
-  // Sharded engine state (set_shards; absent cost is one predictable branch
-  // in step() and nothing on the serial phase workers).
+  // Shard state (set_shards; the serial engine is one shard). The per-shard
+  // active sets are never serialized and are rebuilt on restore. Invariants,
+  // maintained in every step mode, over the union of the shards' sets:
+  //   src_active   == nodes with a non-empty source queue (exact);
+  //   eject_active ⊇ nodes with any buffered flit in an ejection VC;
+  //   chan_active  ⊇ channels with transmit_work_possible().
+  // `sharded_` selects the semantics in exactly two places: transmit and the
+  // selection RNG in header routing.
   bool sharded_ = false;
   ShardPlan shard_plan_;
   std::vector<std::int32_t> shard_chan_;  // channel id -> owning shard
@@ -405,6 +385,7 @@ class Network {
   std::unique_ptr<WorkerPool> pool_;
   // Commit-time merge scratch.
   std::vector<std::size_t> merge_cursor_;
+  std::vector<VcId> scratch_pending_;
 };
 
 }  // namespace flexnet

@@ -1,12 +1,15 @@
-// The sharded parallel stepping engine (DESIGN.md §3j).
+// The shard-structured step workers (DESIGN.md §3j), shared by every step
+// mode: the serial engine is one shard stepped inline, the sharded engine N
+// shards on the WorkerPool, and the dense oracle the serial engine with every
+// component scheduled.
 //
-// Network::step_sharded() runs each phase as a fleet of per-shard workers
-// over the per-shard active sets, separated by pool barriers, with every
-// ordered side effect buffered in the worker's ShardCtx and folded into
-// global state by a single-threaded commit in canonical component order.
-// The result is byte-identical across ALL shard counts: the 1-shard run is
-// the oracle and `--shards 8` must reproduce it bit for bit (state, traces,
-// counters, snapshots, telemetry, metrics streams).
+// Each phase runs as per-shard workers over the per-shard active sets,
+// separated by pool barriers, with every ordered side effect buffered in the
+// worker's ShardCtx and folded into global state by a single-threaded commit
+// in canonical component order. The result is byte-identical across ALL
+// shard counts: the 1-shard run is the oracle and `--shards 8` must reproduce
+// it bit for bit (state, traces, counters, snapshots, telemetry, metrics
+// streams).
 //
 // Ownership discipline (the whole correctness argument, verified by TSan):
 //  * a shard owns its nodes' queues/ejection interfaces and every physical
@@ -20,14 +23,16 @@
 //    T3 performs the pushes (each VC is pushed only by its own channel), so
 //    no FlitFifo is ever touched by two threads in the same sub-phase.
 //
-// Two semantic deltas vs the serial engine, both deliberate and documented:
-// transmit decisions read cycle-start buffer occupancy (a one-cycle
-// credit-return delay instead of the serial sweep's same-cycle compaction
-// chaining along ascending channel ids — unparallelizable without
-// serializing the sweep), and adaptive selection shuffles with a
-// per-(message, cycle) hash stream instead of the shared serial RNG (whose
-// draw order is exactly the serial visit order). Neither depends on the
-// shard count, which is what the byte-equality suite asserts.
+// The serial and sharded engines differ in exactly two places, each one
+// branch on `sharded_`. Transmit: the serial engine runs its same-cycle sweep
+// (transmit_phase in network.cpp), whose compaction chaining along ascending
+// channel ids cannot be parallelized without serializing the sweep; sharded
+// transmit decides against cycle-start buffer occupancy (a one-cycle
+// credit-return delay). Selection: the serial engine draws from the shared
+// generator, whose draw order is exactly the serial visit order; sharded
+// selection shuffles with a per-(message, cycle) hash stream. Neither
+// sharded semantic depends on the shard count, which is what the
+// byte-equality suite asserts.
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
@@ -53,22 +58,17 @@ void Network::set_shards(int shards) {
     throw std::invalid_argument("shard count exceeds node count (" +
                                 std::to_string(topo_->num_nodes()) + ")");
   }
-  // Fold the per-shard epoch terms into the base counter so arc_epoch()
-  // stays monotonic across resharding.
-  arc_epoch_ = arc_epoch();
-  shard_ctx_.clear();
-  pool_.reset();
-  if (shards == 0) {
-    sharded_ = false;
-    rebuild_active_sets();
-    return;
-  }
-  if (step_dense_) {
+  if (shards > 0 && step_dense_) {
     throw std::invalid_argument(
         "sharded stepping cannot combine with the dense sweep oracle");
   }
+  // Fold the per-shard epoch terms into the base counter so arc_epoch()
+  // stays monotonic across resharding.
+  arc_epoch_ = arc_epoch();
+  pool_.reset();
 
-  shard_plan_ = make_shard_plan(*topo_, shards);
+  // The serial engine (0) is one shard, stepped inline by a one-party pool.
+  shard_plan_ = make_shard_plan(*topo_, std::max(shards, 1));
   shard_chan_.resize(phys_.size());
   for (const PhysChannel& pc : phys_) {
     // Injection/ejection channels have src == dst == their node, so one rule
@@ -76,6 +76,7 @@ void Network::set_shards(int shards) {
     shard_chan_[static_cast<std::size_t>(pc.id)] = shard_plan_.shard_of(pc.src);
   }
 
+  shard_ctx_.clear();
   shard_ctx_.resize(static_cast<std::size_t>(shard_plan_.shards));
   const auto nodes = static_cast<std::size_t>(topo_->num_nodes());
   for (std::size_t s = 0; s < shard_ctx_.size(); ++s) {
@@ -84,63 +85,46 @@ void Network::set_shards(int shards) {
     ctx.src_active.reset(nodes);
     ctx.eject_active.reset(nodes);
     ctx.chan_active.reset(phys_.size());
-    ctx.epoch = 0;
-    ctx.clear_cycle_buffers();
   }
   merge_cursor_.assign(shard_ctx_.size(), 0);
   pool_ = std::make_unique<WorkerPool>(shard_ctx_.size());
-  sharded_ = true;
+  sharded_ = shards > 0;
   rebuild_active_sets();
 }
 
 void Network::sched_insert_src(NodeId node) {
-  if (sharded_) {
-    shard_ctx_[static_cast<std::size_t>(shard_of_node(node))].src_active.insert(
-        node);
-  } else {
-    src_active_.insert(node);
-  }
+  shard_ctx_[static_cast<std::size_t>(shard_of_node(node))].src_active.insert(
+      node);
 }
 
 void Network::sched_insert_eject(NodeId node) {
-  if (sharded_) {
-    shard_ctx_[static_cast<std::size_t>(shard_of_node(node))]
-        .eject_active.insert(node);
-  } else {
-    eject_active_.insert(node);
-  }
+  shard_ctx_[static_cast<std::size_t>(shard_of_node(node))].eject_active.insert(
+      node);
 }
 
 void Network::sched_wake_channel(ChannelId ch) {
-  if (sharded_) {
-    shard_ctx_[static_cast<std::size_t>(shard_of_channel(ch))]
-        .chan_active.insert(ch);
-  } else {
-    chan_active_.insert(ch);
-  }
+  shard_ctx_[static_cast<std::size_t>(shard_of_channel(ch))].chan_active.insert(
+      ch);
 }
 
 bool Network::src_scheduled(NodeId node) const {
-  if (!sharded_) return src_active_.contains(node);
   return shard_ctx_[static_cast<std::size_t>(shard_of_node(node))]
       .src_active.contains(node);
 }
 
 bool Network::eject_scheduled(NodeId node) const {
-  if (!sharded_) return eject_active_.contains(node);
   return shard_ctx_[static_cast<std::size_t>(shard_of_node(node))]
       .eject_active.contains(node);
 }
 
 bool Network::channel_scheduled(ChannelId ch) const {
-  if (!sharded_) return chan_active_.contains(ch);
   return shard_ctx_[static_cast<std::size_t>(shard_of_channel(ch))]
       .chan_active.contains(ch);
 }
 
-void Network::trace_sharded(ShardCtx& ctx, std::uint64_t key,
-                            TraceEventKind kind, MessageId msg, VcId vc,
-                            VcId vc2, std::int32_t arg, NodeId node) {
+void Network::trace_buffered(ShardCtx& ctx, std::uint64_t key,
+                             TraceEventKind kind, MessageId msg, VcId vc,
+                             VcId vc2, std::int32_t arg, NodeId node) {
   ShardTraceRecord rec;
   rec.key = key;
   rec.event.cycle = now_;
@@ -155,61 +139,46 @@ void Network::trace_sharded(ShardCtx& ctx, std::uint64_t key,
   ctx.trace_buf.push_back(rec);
 }
 
-void Network::flush_sharded_traces() {
-  if (hooks_.tracer == nullptr) {
-    for (ShardCtx& ctx : shard_ctx_) ctx.trace_buf.clear();
+template <typename Item, typename Key, typename Visit>
+void Network::merge_shards(std::vector<Item> ShardCtx::*buffer, Key key,
+                           Visit visit) {
+  if (shard_ctx_.size() == 1) {
+    for (const Item& item : shard_ctx_.front().*buffer) visit(item);
     return;
   }
-  // K-way merge of key-sorted buffers. Keys are unique across shards within
-  // a phase segment (each component/scan position is processed by exactly
-  // one shard), so ties cannot occur.
+  // K-way merge. Keys are unique across shards within a phase (each
+  // component or scan position is processed by exactly one shard), so ties
+  // cannot occur.
   std::fill(merge_cursor_.begin(), merge_cursor_.end(), 0);
   for (;;) {
     std::size_t best = shard_ctx_.size();
-    std::uint64_t best_key = 0;
     for (std::size_t s = 0; s < shard_ctx_.size(); ++s) {
-      const ShardCtx& ctx = shard_ctx_[s];
-      if (merge_cursor_[s] >= ctx.trace_buf.size()) continue;
-      const std::uint64_t key = ctx.trace_buf[merge_cursor_[s]].key;
-      if (best == shard_ctx_.size() || key < best_key) {
+      const std::vector<Item>& items = shard_ctx_[s].*buffer;
+      if (merge_cursor_[s] < items.size() &&
+          (best == shard_ctx_.size() ||
+           key(items[merge_cursor_[s]]) <
+               key((shard_ctx_[best].*buffer)[merge_cursor_[best]]))) {
         best = s;
-        best_key = key;
       }
     }
-    if (best == shard_ctx_.size()) break;
-    hooks_.tracer->emit(shard_ctx_[best].trace_buf[merge_cursor_[best]].event);
-    ++merge_cursor_[best];
+    if (best == shard_ctx_.size()) return;
+    visit((shard_ctx_[best].*buffer)[merge_cursor_[best]++]);
+  }
+}
+
+void Network::flush_buffered_traces() {
+  if (hooks_.tracer != nullptr) {
+    merge_shards(
+        &ShardCtx::trace_buf,
+        [](const ShardTraceRecord& rec) { return rec.key; },
+        [this](const ShardTraceRecord& rec) {
+          hooks_.tracer->emit(rec.event);
+        });
   }
   for (ShardCtx& ctx : shard_ctx_) ctx.trace_buf.clear();
 }
 
-void Network::step_sharded() {
-  if (hooks_.profiler == nullptr) {
-    deliver_phase_sharded();
-    route_phase_sharded();
-    transmit_phase_sharded();
-  } else {
-    {
-      ScopedPhase timer(hooks_.profiler, SimPhase::Deliver);
-      deliver_phase_sharded();
-    }
-    {
-      ScopedPhase timer(hooks_.profiler, SimPhase::Route);
-      route_phase_sharded();
-    }
-    {
-      ScopedPhase timer(hooks_.profiler, SimPhase::Transmit);
-      transmit_phase_sharded();
-    }
-  }
-}
-
 // --- deliver ---------------------------------------------------------------
-
-void Network::deliver_phase_sharded() {
-  pool_->run([this](std::size_t s) { deliver_shard(shard_ctx_[s]); });
-  commit_deliver();
-}
 
 void Network::deliver_shard(ShardCtx& ctx) {
   ctx.deliveries.clear();
@@ -258,39 +227,21 @@ void Network::commit_deliver() {
   // interfaces — emitting the flit trace and running tail completions (which
   // touch the active list, delivered counters, obs hook and base epoch) on
   // this thread.
-  std::fill(merge_cursor_.begin(), merge_cursor_.end(), 0);
-  for (;;) {
-    std::size_t best = shard_ctx_.size();
-    NodeId best_node = kInvalidNode;
-    for (std::size_t s = 0; s < shard_ctx_.size(); ++s) {
-      const ShardCtx& ctx = shard_ctx_[s];
-      if (merge_cursor_[s] >= ctx.deliveries.size()) continue;
-      const NodeId node = ctx.deliveries[merge_cursor_[s]].node;
-      if (best == shard_ctx_.size() || node < best_node) {
-        best = s;
-        best_node = node;
-      }
-    }
-    if (best == shard_ctx_.size()) break;
-    const ShardDelivery& rec = shard_ctx_[best].deliveries[merge_cursor_[best]];
-    ++merge_cursor_[best];
-    Message& msg = messages_[static_cast<std::size_t>(rec.msg)];
-    if (hooks_.tracer != nullptr) {
-      trace(TraceEventKind::FlitDelivered, msg.id, rec.eject_vc, kInvalidVc,
-            rec.seq);
-    }
-    if (rec.tail) {
-      complete_delivery(msg, vcs_[static_cast<std::size_t>(rec.eject_vc)]);
-    }
-  }
+  merge_shards(
+      &ShardCtx::deliveries, [](const ShardDelivery& rec) { return rec.node; },
+      [this](const ShardDelivery& rec) {
+        Message& msg = messages_[static_cast<std::size_t>(rec.msg)];
+        if (hooks_.tracer != nullptr) {
+          trace(TraceEventKind::FlitDelivered, msg.id, rec.eject_vc,
+                kInvalidVc, rec.seq);
+        }
+        if (rec.tail) {
+          complete_delivery(msg, vcs_[static_cast<std::size_t>(rec.eject_vc)]);
+        }
+      });
 }
 
 // --- route -----------------------------------------------------------------
-
-void Network::route_phase_sharded() {
-  pool_->run([this](std::size_t s) { route_shard(shard_ctx_[s]); });
-  commit_route();
-}
 
 void Network::route_shard(ShardCtx& ctx) {
   ctx.grants.clear();
@@ -301,7 +252,7 @@ void Network::route_shard(ShardCtx& ctx) {
   // Injection grants for this shard's nodes (src_active is exact).
   for (std::int32_t node = ctx.src_active.first(); node != -1;
        node = ctx.src_active.next_after(node)) {
-    route_grants_sharded(node, ctx);
+    route_grants(node, ctx);
   }
 
   // Retry every unrouted header whose current router this shard owns,
@@ -315,8 +266,7 @@ void Network::route_shard(ShardCtx& ctx) {
     const NodeId here =
         phys(vcs_[static_cast<std::size_t>(head_vc)].channel).dst;
     if (shard_of_node(here) != ctx.shard) continue;
-    if (!try_route_header_sharded(head_vc, static_cast<std::uint32_t>(i),
-                                  ctx)) {
+    if (!try_route_header(head_vc, static_cast<std::uint32_t>(i), ctx)) {
       ShardRouteFailure failure;
       failure.scan_index = static_cast<std::uint32_t>(i);
       failure.head_vc = head_vc;
@@ -325,7 +275,7 @@ void Network::route_shard(ShardCtx& ctx) {
   }
 }
 
-void Network::route_grants_sharded(NodeId node, ShardCtx& ctx) {
+void Network::route_grants(NodeId node, ShardCtx& ctx) {
   auto& queue = source_queues_[static_cast<std::size_t>(node)];
   if (queue.empty()) return;
   const PhysChannel& pc =
@@ -346,9 +296,10 @@ void Network::route_grants_sharded(NodeId node, ShardCtx& ctx) {
     ctx.chan_active.insert(pc.id);  // injection channel has source flits
     if (hooks_.tracer != nullptr) {
       const auto key = static_cast<std::uint64_t>(node);
-      trace_sharded(ctx, key, TraceEventKind::VcAllocated, msg.id, vc.id);
-      trace_sharded(ctx, key, TraceEventKind::MessageInjected, msg.id, vc.id,
-                    kInvalidVc, static_cast<std::int32_t>(class_index(msg.cls)));
+      trace_buffered(ctx, key, TraceEventKind::VcAllocated, msg.id, vc.id);
+      trace_buffered(ctx, key, TraceEventKind::MessageInjected, msg.id, vc.id,
+                     kInvalidVc,
+                     static_cast<std::int32_t>(class_index(msg.cls)));
     }
   }
   if (queue.empty()) {
@@ -360,8 +311,8 @@ void Network::route_grants_sharded(NodeId node, ShardCtx& ctx) {
   }
 }
 
-bool Network::try_route_header_sharded(VcId head_vc, std::uint32_t scan_index,
-                                       ShardCtx& ctx) {
+bool Network::try_route_header(VcId head_vc, std::uint32_t scan_index,
+                               ShardCtx& ctx) {
   VcState& v = vcs_[static_cast<std::size_t>(head_vc)];
   assert(v.owner != kInvalidMessage && v.route_out == kInvalidVc);
   assert(!v.buffer.empty() && v.buffer.front().is_head());
@@ -376,14 +327,19 @@ bool Network::try_route_header_sharded(VcId head_vc, std::uint32_t scan_index,
   } else {
     routing_->candidate_channels(*this, msg, here, v.id, ctx.scratch_channels);
     assert(!ctx.scratch_channels.empty());
-    // Selection draws from a per-(message, cycle) hash stream: the serial
-    // engine's shared generator encodes the serial visit order in its draw
-    // sequence, which no parallel schedule can reproduce. This stream is a
-    // pure function of (seed, message, cycle), so every shard count agrees.
-    Pcg32 rng(config_.seed ^ (0x9e3779b97f4a7c15ULL *
-                              (static_cast<std::uint64_t>(msg.id) + 1)),
-              static_cast<std::uint64_t>(now_));
-    selection_->order(*this, msg, v.id, ctx.scratch_channels, rng);
+    if (sharded_) {
+      // Sharded selection draws from a per-(message, cycle) hash stream: the
+      // serial engine's shared generator encodes the serial visit order in
+      // its draw sequence, which no parallel schedule can reproduce. This
+      // stream is a pure function of (seed, message, cycle), so every shard
+      // count agrees.
+      Pcg32 rng(config_.seed ^ (0x9e3779b97f4a7c15ULL *
+                                (static_cast<std::uint64_t>(msg.id) + 1)),
+                static_cast<std::uint64_t>(now_));
+      selection_->order(*this, msg, v.id, ctx.scratch_channels, rng);
+    } else {
+      selection_->order(*this, msg, v.id, ctx.scratch_channels, rng_);
+    }
   }
 
   ctx.scratch_vcs.clear();
@@ -404,7 +360,7 @@ bool Network::try_route_header_sharded(VcId head_vc, std::uint32_t scan_index,
   for (const VcId candidate : ctx.scratch_vcs) {
     VcState& w = vcs_[static_cast<std::size_t>(candidate)];
     if (w.is_free()) {
-      acquire_vc_sharded(msg, v, w, key, ctx);
+      acquire_vc(msg, v, w, key, ctx);
       return true;
     }
   }
@@ -420,24 +376,25 @@ bool Network::try_route_header_sharded(VcId head_vc, std::uint32_t scan_index,
                                     msg.request_set.end());
     msg.request_set.assign(ctx.scratch_vcs.begin(), ctx.scratch_vcs.end());
     if (newly_blocked) {
-      trace_sharded(ctx, key, TraceEventKind::MessageBlocked, msg.id, head_vc,
-                    kInvalidVc,
-                    static_cast<std::int32_t>(msg.request_set.size()));
+      trace_buffered(ctx, key, TraceEventKind::MessageBlocked, msg.id,
+                     head_vc, kInvalidVc,
+                     static_cast<std::int32_t>(msg.request_set.size()));
     }
-    // Dashed-arc delta, same quadratic diff as the serial path.
+    // Dashed-arc delta. Request sets are tiny (one entry per candidate VC),
+    // so the quadratic diff is cheaper than sorting.
     for (const VcId want : msg.request_set) {
       if (std::find(ctx.scratch_old_requests.begin(),
                     ctx.scratch_old_requests.end(),
                     want) == ctx.scratch_old_requests.end()) {
-        trace_sharded(ctx, key, TraceEventKind::CwgArcAdded, msg.id, want,
-                      head_vc);
+        trace_buffered(ctx, key, TraceEventKind::CwgArcAdded, msg.id, want,
+                       head_vc);
       }
     }
     for (const VcId had : ctx.scratch_old_requests) {
       if (std::find(msg.request_set.begin(), msg.request_set.end(), had) ==
           msg.request_set.end()) {
-        trace_sharded(ctx, key, TraceEventKind::CwgArcRemoved, msg.id, had,
-                      head_vc);
+        trace_buffered(ctx, key, TraceEventKind::CwgArcRemoved, msg.id, had,
+                       head_vc);
       }
     }
   } else {
@@ -446,21 +403,21 @@ bool Network::try_route_header_sharded(VcId head_vc, std::uint32_t scan_index,
   return false;
 }
 
-void Network::acquire_vc_sharded(Message& msg, VcState& from, VcState& target,
-                                 std::uint64_t trace_key, ShardCtx& ctx) {
+void Network::acquire_vc(Message& msg, VcState& from, VcState& target,
+                         std::uint64_t trace_key, ShardCtx& ctx) {
   assert(target.is_free() && target.buffer.empty());
   assert(!phys(target.channel).faulted);
   if (hooks_.tracer != nullptr) {
     for (const VcId want : msg.request_set) {
-      trace_sharded(ctx, trace_key, TraceEventKind::CwgArcRemoved, msg.id, want,
-                    from.id);
+      trace_buffered(ctx, trace_key, TraceEventKind::CwgArcRemoved, msg.id,
+                     want, from.id);
     }
-    trace_sharded(ctx, trace_key, TraceEventKind::VcAllocated, msg.id,
-                  target.id, from.id);
+    trace_buffered(ctx, trace_key, TraceEventKind::VcAllocated, msg.id,
+                   target.id, from.id);
     if (msg.blocked) {
-      trace_sharded(ctx, trace_key, TraceEventKind::MessageUnblocked, msg.id,
-                    target.id, from.id,
-                    static_cast<std::int32_t>(now_ - msg.blocked_since));
+      trace_buffered(ctx, trace_key, TraceEventKind::MessageUnblocked, msg.id,
+                     target.id, from.id,
+                     static_cast<std::int32_t>(now_ - msg.blocked_since));
     }
   }
   target.owner = msg.id;
@@ -485,54 +442,30 @@ void Network::acquire_vc_sharded(Message& msg, VcState& from, VcState& target,
 void Network::commit_route() {
   // Injection grants join the active list in source-node order (the serial
   // grant sweep's order); each shard's grant list is already node-ordered.
-  std::fill(merge_cursor_.begin(), merge_cursor_.end(), 0);
-  for (;;) {
-    std::size_t best = shard_ctx_.size();
-    NodeId best_node = kInvalidNode;
-    for (std::size_t s = 0; s < shard_ctx_.size(); ++s) {
-      const ShardCtx& ctx = shard_ctx_[s];
-      if (merge_cursor_[s] >= ctx.grants.size()) continue;
-      const NodeId node =
-          messages_[static_cast<std::size_t>(ctx.grants[merge_cursor_[s]])].src;
-      if (best == shard_ctx_.size() || node < best_node) {
-        best = s;
-        best_node = node;
-      }
-    }
-    if (best == shard_ctx_.size()) break;
-    const MessageId id = shard_ctx_[best].grants[merge_cursor_[best]];
-    ++merge_cursor_[best];
-    active_pos_[static_cast<std::size_t>(id)] =
-        static_cast<std::int32_t>(active_.size());
-    active_.push_back(id);
-  }
+  merge_shards(
+      &ShardCtx::grants,
+      [this](MessageId id) {
+        return messages_[static_cast<std::size_t>(id)].src;
+      },
+      [this](MessageId id) {
+        active_pos_[static_cast<std::size_t>(id)] =
+            static_cast<std::int32_t>(active_.size());
+        active_.push_back(id);
+      });
 
   // Rebuild pending_ from the failures, in rotated-scan order.
   scratch_pending_.clear();
-  blocked_count_ = 0;
-  std::fill(merge_cursor_.begin(), merge_cursor_.end(), 0);
-  for (;;) {
-    std::size_t best = shard_ctx_.size();
-    std::uint32_t best_index = 0;
-    for (std::size_t s = 0; s < shard_ctx_.size(); ++s) {
-      const ShardCtx& ctx = shard_ctx_[s];
-      if (merge_cursor_[s] >= ctx.failures.size()) continue;
-      const std::uint32_t index = ctx.failures[merge_cursor_[s]].scan_index;
-      if (best == shard_ctx_.size() || index < best_index) {
-        best = s;
-        best_index = index;
-      }
-    }
-    if (best == shard_ctx_.size()) break;
-    scratch_pending_.push_back(
-        shard_ctx_[best].failures[merge_cursor_[best]].head_vc);
-    ++merge_cursor_[best];
-    ++blocked_count_;
-  }
+  merge_shards(
+      &ShardCtx::failures,
+      [](const ShardRouteFailure& failure) { return failure.scan_index; },
+      [this](const ShardRouteFailure& failure) {
+        scratch_pending_.push_back(failure.head_vc);
+      });
+  blocked_count_ = static_cast<int>(scratch_pending_.size());
   pending_.swap(scratch_pending_);
 
   for (const ShardCtx& ctx : shard_ctx_) counters_.injected += ctx.injected;
-  flush_sharded_traces();
+  flush_buffered_traces();
 }
 
 // --- transmit --------------------------------------------------------------
@@ -638,8 +571,8 @@ void Network::transmit_push_shard(ShardCtx& ctx) {
       }
       if (hooks_.heatmap != nullptr) hooks_.heatmap->on_traversal(pc.id, w.id);
       if (hooks_.tracer != nullptr) {
-        trace_sharded(ctx, key, TraceEventKind::FlitInjected, msg.id, w.id,
-                      kInvalidVc, flit.seq);
+        trace_buffered(ctx, key, TraceEventKind::FlitInjected, msg.id, w.id,
+                       kInvalidVc, flit.seq);
       }
       pc.rr_cursor = move.rr_index + 1 == pc.num_vcs ? 0 : move.rr_index + 1;
       continue;
@@ -678,10 +611,10 @@ void Network::transmit_push_shard(ShardCtx& ctx) {
     }
     if (hooks_.heatmap != nullptr) hooks_.heatmap->on_traversal(pc.id, w.id);
     if (hooks_.tracer != nullptr) {
-      trace_sharded(ctx, key, TraceEventKind::FlitHopped, msg.id, w.id, u.id,
-                    flit.seq);
+      trace_buffered(ctx, key, TraceEventKind::FlitHopped, msg.id, w.id, u.id,
+                     flit.seq);
       if (tail_left_upstream) {
-        trace_sharded(ctx, key, TraceEventKind::VcFreed, msg.id, u.id);
+        trace_buffered(ctx, key, TraceEventKind::VcFreed, msg.id, u.id);
       }
     }
     if (flit.is_head() && pc.kind != ChannelKind::Ejection) {
@@ -697,23 +630,10 @@ void Network::transmit_push_shard(ShardCtx& ctx) {
 void Network::commit_transmit() {
   // New unrouted heads join pending_ in channel-id order (the serial
   // transmit visit order), after the route phase's rotated rebuild.
-  std::fill(merge_cursor_.begin(), merge_cursor_.end(), 0);
-  for (;;) {
-    std::size_t best = shard_ctx_.size();
-    ChannelId best_ch = kInvalidChannel;
-    for (std::size_t s = 0; s < shard_ctx_.size(); ++s) {
-      const ShardCtx& ctx = shard_ctx_[s];
-      if (merge_cursor_[s] >= ctx.pending_adds.size()) continue;
-      const ChannelId ch = ctx.pending_adds[merge_cursor_[s]].channel;
-      if (best == shard_ctx_.size() || ch < best_ch) {
-        best = s;
-        best_ch = ch;
-      }
-    }
-    if (best == shard_ctx_.size()) break;
-    pending_.push_back(shard_ctx_[best].pending_adds[merge_cursor_[best]].vc);
-    ++merge_cursor_[best];
-  }
+  merge_shards(
+      &ShardCtx::pending_adds,
+      [](const ShardPendingAdd& add) { return add.channel; },
+      [this](const ShardPendingAdd& add) { pending_.push_back(add.vc); });
 
   // Cross-shard wakeups: idempotent set inserts, order irrelevant.
   for (const ShardCtx& ctx : shard_ctx_) {
@@ -722,7 +642,7 @@ void Network::commit_transmit() {
           .chan_active.insert(ch);
     }
   }
-  flush_sharded_traces();
+  flush_buffered_traces();
 }
 
 }  // namespace flexnet

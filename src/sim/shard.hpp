@@ -1,6 +1,8 @@
-// Per-shard state for the parallel stepping engine (DESIGN.md §3j).
+// Per-shard state for the shard-structured step workers (DESIGN.md §3j).
+// The serial engine is one shard stepped inline; the sharded engine runs one
+// worker thread per shard.
 //
-// Each worker thread owns one ShardCtx: the shard's slice of the three
+// Each worker owns one ShardCtx: the shard's slice of the three
 // active sets, its own arc-epoch term, reusable scratch buffers, and the
 // per-cycle result buffers that the main thread folds into global state at
 // each phase commit. Workers write only (a) simulation state owned by their
@@ -100,22 +102,10 @@ struct ShardCtx {
 
   std::vector<ShardTraceRecord> trace_buf;
 
-  // --- reusable scratch (mirrors Network's serial scratch members) ---------
+  // --- reusable header-routing scratch -------------------------------------
   std::vector<ChannelId> scratch_channels;
   std::vector<VcId> scratch_vcs;
-  std::vector<VcId> scratch_old_requests;
-
-  void clear_cycle_buffers() {
-    deliveries.clear();
-    flits_delivered = 0;
-    grants.clear();
-    injected = 0;
-    failures.clear();
-    moves.clear();
-    pending_adds.clear();
-    wake_outbox.clear();
-    trace_buf.clear();
-  }
+  std::vector<VcId> scratch_old_requests;  // tracing only
 };
 
 }  // namespace flexnet

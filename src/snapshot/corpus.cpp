@@ -83,22 +83,29 @@ ReplayResult replay_capture(const Snapshot& snap) {
 
   // The capture happened mid-detector-pass: earlier knots in the same pass
   // had their victims removed before this one was dumped, so the restored
-  // CWG can contain several knots. Match by canonical hash first, then by
-  // recorded sizes.
+  // CWG can contain several knots. Structurally different knots can share a
+  // canonical hash (refinement cannot always separate them), so the recorded
+  // knot is the first one, in canonical order, whose hash AND recorded sizes
+  // match. Failing that, the first hash match (or the first knot) supplies
+  // the mismatch detail.
   const Knot* best = nullptr;
-  std::uint64_t best_hash = 0;
+  const Knot* first_hash_match = nullptr;
   for (const Knot& knot : knots) {
-    const std::uint64_t h = canonical_knot_hash(cwg, knot);
-    if (h == snap.meta.cwg_hash) {
+    if (canonical_knot_hash(cwg, knot) != snap.meta.cwg_hash) continue;
+    if (first_hash_match == nullptr) first_hash_match = &knot;
+    if (static_cast<int>(knot.deadlock_set.size()) ==
+            snap.meta.deadlock_set_size &&
+        static_cast<int>(knot.resource_set.size()) ==
+            snap.meta.resource_set_size &&
+        static_cast<int>(knot.knot_vcs.size()) == snap.meta.knot_size) {
       best = &knot;
-      best_hash = h;
       break;
     }
-    if (best == nullptr) {
-      best = &knot;
-      best_hash = h;
-    }
   }
+  if (best == nullptr) {
+    best = first_hash_match != nullptr ? first_hash_match : &knots.front();
+  }
+  const std::uint64_t best_hash = canonical_knot_hash(cwg, *best);
 
   result.deadlock_set_size = static_cast<int>(best->deadlock_set.size());
   result.resource_set_size = static_cast<int>(best->resource_set.size());

@@ -2,7 +2,8 @@
 // must decode, restore, and re-produce the recorded knot — same canonical
 // CWG hash, same deadlock/resource set sizes, same knot cycle density — when
 // detection is re-run on the restored network. This pins the snapshot format
-// AND the detector's verdict against regressions.
+// AND the detector's verdict against regressions. A hand-built pair of
+// hash-colliding knots pins how replay picks the recorded one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,10 @@
 #include <string>
 #include <vector>
 
+#include "core/cwg.hpp"
+#include "core/knot.hpp"
+#include "exp/experiment.hpp"
+#include "sim/network.hpp"
 #include "snapshot/corpus.hpp"
 #include "snapshot/snapshot.hpp"
 
@@ -69,6 +74,73 @@ TEST(CommittedCorpus, MutatedDensityDoesNotReplay) {
     EXPECT_FALSE(replay.matches);
     EXPECT_NE(replay.detail.find("density"), std::string::npos) << replay.detail;
   }
+}
+
+TEST(ReplayCapture, PicksTheRecordedKnotAmongHashTwins) {
+  // Two 4-VC ring knots on a unidirectional 4-ary 2-cube (DOR, 1 VC, 4-flit
+  // messages in 2-flit buffers, so every blocked worm holds exactly 2 VCs and
+  // requests 1). Column 0's ring is owned by three worms, two of which turn
+  // in from row channels; row 1's ring by two worms lying wholly inside it.
+  // Every knot vertex has induced in/out degree 1 and an owner holding 2 VCs
+  // with 1 request, so refinement cannot separate the rings: equal canonical
+  // hashes, different deadlock and resource sets. Replay must pick the knot
+  // whose sizes match the recording, not the first hash match.
+  ExperimentConfig cfg;
+  cfg.sim.topology = {4, 2, false, true};
+  cfg.sim.routing = RoutingKind::DOR;
+  cfg.sim.vcs = 1;
+  cfg.sim.message_length = 4;
+  cfg.sim.buffer_depth = 2;
+  cfg.traffic.load = 0.0;
+  Simulation sim(cfg);
+  Network& net = sim.network();
+  const struct {
+    NodeId src;
+    NodeId dst;
+  } worms[] = {
+      {0, 12},  // column 0 only: holds 0->4, 4->8, requests 8->12
+      {11, 0},  // row 2 wrap, then 8->12; requests 12->0
+      {15, 4},  // row 3 wrap, then 12->0; requests 0->4
+      {4, 7},   // row 1: holds 4->5, 5->6, requests 6->7
+      {6, 5},   // row 1: holds 6->7, 7->4, requests 4->5
+  };
+  for (const auto& worm : worms) net.enqueue_message(worm.src, worm.dst, 4);
+  for (int i = 0; i < 50; ++i) net.step();
+
+  const Cwg cwg = Cwg::from_network(net);
+  const std::vector<Knot> knots = find_knots(cwg);
+  ASSERT_EQ(knots.size(), 2u);
+  const Knot& column = knots[0];
+  const Knot& row = knots[1];
+  ASSERT_EQ(canonical_knot_hash(cwg, column), canonical_knot_hash(cwg, row));
+  ASSERT_EQ(column.knot_vcs.size(), 4u);
+  ASSERT_EQ(row.knot_vcs.size(), 4u);
+  ASSERT_EQ(column.deadlock_set.size(), 3u);
+  ASSERT_EQ(row.deadlock_set.size(), 2u);
+
+  // Record the second knot in canonical order, as a capture would.
+  Snapshot snap = sim.make_checkpoint();
+  snap.meta.kind = SnapshotKind::DeadlockCapture;
+  snap.meta.deadlock_set_size = static_cast<int>(row.deadlock_set.size());
+  snap.meta.resource_set_size = static_cast<int>(row.resource_set.size());
+  snap.meta.knot_size = static_cast<int>(row.knot_vcs.size());
+  snap.meta.knot_cycle_density =
+      knot_cycle_density(cwg, row, snap.detector.knot_density_cap).count;
+  snap.meta.cwg_hash = canonical_knot_hash(cwg, row);
+
+  const ReplayResult replay = replay_capture(snap);
+  EXPECT_TRUE(replay.matches) << replay.detail;
+  EXPECT_EQ(replay.deadlock_set_size, 2);
+  EXPECT_EQ(replay.resource_set_size, 4);
+
+  // A recording matching neither twin still fails, with the first hash
+  // match in the detail.
+  ++snap.meta.resource_set_size;
+  const ReplayResult mismatch = replay_capture(snap);
+  EXPECT_FALSE(mismatch.matches);
+  EXPECT_EQ(mismatch.deadlock_set_size, 3);
+  EXPECT_NE(mismatch.detail.find("replayed 3/6/4"), std::string::npos)
+      << mismatch.detail;
 }
 
 }  // namespace

@@ -258,6 +258,45 @@ TEST(ShardedStep, RecoveryWakeupsDrainTheNetwork) {
   net.check_invariants();
 }
 
+/// FNV-1a over the serialized network state after `cycles` lockstep cycles
+/// (inject, step, detect) of `cfg`.
+std::uint64_t state_hash_after(const ExperimentConfig& cfg, Cycle cycles) {
+  Simulation sim(cfg);
+  for (Cycle i = 0; i < cycles; ++i) {
+    sim.injection().tick(sim.network());
+    sim.network().step();
+    sim.detector().tick(sim.network());
+  }
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t byte : net_bytes(sim.network())) {
+    h ^= byte;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(ShardedStep, ShardedSemanticsPinned) {
+  // 1 and N shards run the same deliver, route and transmit code, so the
+  // lockstep pairs above cannot see a drift in it. These hashes pin the
+  // sharded semantics (cycle-start transmit credits, per-(message, cycle)
+  // selection draws) on the lockstep grid config at 1 shard; a mismatch is
+  // a semantic change.
+  const struct {
+    RoutingKind routing;
+    std::uint64_t hash;
+  } pins[] = {
+      {RoutingKind::DOR, 0x1cf6a215ccdce74aULL},
+      {RoutingKind::TFAR, 0xb4e291ba3cc42909ULL},
+      {RoutingKind::TableMin, 0xb4e291ba3cc42909ULL},
+  };
+  for (const auto& pin : pins) {
+    SCOPED_TRACE(to_string(pin.routing));
+    ExperimentConfig cfg = grid_config(pin.routing, 0.5);
+    cfg.run.shards = 1;
+    EXPECT_EQ(state_hash_after(cfg, 2000), pin.hash);
+  }
+}
+
 TEST(ShardedStep, SetShardsValidation) {
   SimConfig cfg;
   cfg.topology.k = 4;

@@ -228,6 +228,43 @@ TEST(StepEquivalence, RecoveryWakeupsDrainTheNetwork) {
   EXPECT_EQ(net->counters().recovered, 1);
 }
 
+/// FNV-1a over the serialized network state after `cycles` lockstep cycles
+/// (inject, step, detect) of `cfg`.
+std::uint64_t state_hash_after(const ExperimentConfig& cfg, Cycle cycles) {
+  Simulation sim(cfg);
+  for (Cycle i = 0; i < cycles; ++i) {
+    sim.injection().tick(sim.network());
+    sim.network().step();
+    sim.detector().tick(sim.network());
+  }
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t byte : net_bytes(sim.network())) {
+    h ^= byte;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(StepEquivalence, SerialSemanticsPinned) {
+  // Dense and event-driven stepping run the same deliver and route code, so
+  // the lockstep pairs above cannot see a drift in it. These hashes pin the
+  // serial engine's semantics (same-cycle transmit chaining, shared selection
+  // RNG) on the lockstep grid config; a mismatch is a semantic change.
+  const struct {
+    RoutingKind routing;
+    std::uint64_t hash;
+  } pins[] = {
+      {RoutingKind::DOR, 0x563e0fe91f04b2fdULL},
+      {RoutingKind::TFAR, 0x78efff4883df872fULL},
+      {RoutingKind::TableMin, 0x78efff4883df872fULL},
+  };
+  for (const auto& pin : pins) {
+    SCOPED_TRACE(to_string(pin.routing));
+    const ExperimentConfig cfg = grid_config(pin.routing, 0.5);
+    EXPECT_EQ(state_hash_after(cfg, 2000), pin.hash);
+  }
+}
+
 TEST(StepEquivalence, IdleNetworkStepsDoNothing) {
   SimConfig cfg;
   cfg.topology.k = 8;
