@@ -5,6 +5,18 @@
 // and which VC indices on those channels may it use. The simulator turns the
 // answer into the candidate VC set that drives both allocation and the
 // dashed (request) arcs of the channel wait-for graph.
+//
+// Contract: candidate_channels and vc_allowed are pure functions of
+//   * the topology and the fault map (both fixed after construction),
+//   * the message's src, dst and misroutes,
+//   * the header's router and in-VC, and
+//   * which VCs the message holds (TFAR's self-owned detour check).
+// Nothing else, in particular no other message's state or VC occupancy.
+// The network memoizes a blocked header's answer on this contract and
+// replays it while the header waits (DESIGN.md §3h): while a header sits in
+// one VC its misroutes cannot change and its held chain only shrinks, so the
+// key (head VC, held length) changes exactly when an input does. A relation
+// that reads anything more must widen that key.
 #pragma once
 
 #include <memory>

@@ -29,12 +29,16 @@ class PreferStraight final : public SelectionPolicy {
     }
     const PhysChannel& in_ch = net.phys(net.vc(in_vc).channel);
     if (in_ch.kind != ChannelKind::Network) return;  // injection: no history
-    std::stable_sort(channels.begin(), channels.end(),
-                     [&](ChannelId a, ChannelId b) {
-                       const int ka = net.phys(a).dim == in_ch.dim ? 0 : 1;
-                       const int kb = net.phys(b).dim == in_ch.dim ? 0 : 1;
-                       return ka < kb;
-                     });
+    // Stable partition, straight channels first. std::stable_sort and
+    // std::stable_partition allocate a buffer on every call; rotating each
+    // straight channel into place keeps both groups' order without one.
+    auto straight_end = channels.begin();
+    for (auto it = channels.begin(); it != channels.end(); ++it) {
+      if (net.phys(*it).dim == in_ch.dim) {
+        std::rotate(straight_end, it, it + 1);
+        ++straight_end;
+      }
+    }
   }
 };
 

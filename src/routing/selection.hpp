@@ -25,6 +25,10 @@ class SelectionPolicy {
 
   /// Reorders `channels` in place into preference order (most preferred
   /// first). `in_vc` identifies the VC holding the header.
+  ///
+  /// Contract: a one-element list is left unchanged and draws nothing from
+  /// `rng`. The network relies on it to skip ordering single candidates, so
+  /// the draw stream stays identical (tests/test_selection.cpp).
   virtual void order(const Network& net, const Message& msg, VcId in_vc,
                      std::vector<ChannelId>& channels, Pcg32& rng) const = 0;
 };

@@ -45,13 +45,34 @@ void save_id_vector(BinWriter& out, const std::vector<VcId>& ids) {
   for (const VcId id : ids) out.i32(id);
 }
 
+/// True when `id` indexes a table of `size` entries.
+bool id_in_range(std::int64_t id, std::size_t size) {
+  return id >= 0 && static_cast<std::uint64_t>(id) < size;
+}
+
+/// Reads a VC id list; every id must index the `vc_count`-entry VC table.
 void restore_id_vector(BinReader& in, std::vector<VcId>& ids,
-                       std::size_t limit) {
+                       std::size_t vc_count) {
   const std::uint64_t count = in.u64();
-  if (count > limit) snapshot_mismatch("VC id list longer than the VC table");
+  if (count > vc_count) {
+    snapshot_mismatch("VC id list longer than the VC table");
+  }
   ids.clear();
   ids.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) ids.push_back(in.i32());
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const VcId id = in.i32();
+    if (!id_in_range(id, vc_count)) snapshot_mismatch("VC id out of range");
+    ids.push_back(id);
+  }
+}
+
+/// Reads a link id that may be kInvalidVc (no link).
+VcId restore_vc_link(BinReader& in, std::size_t vc_count) {
+  const VcId id = in.i32();
+  if (id != kInvalidVc && !id_in_range(id, vc_count)) {
+    snapshot_mismatch("VC link out of range");
+  }
+  return id;
 }
 }  // namespace
 
@@ -233,6 +254,7 @@ MessageId Network::enqueue_message(NodeId src, NodeId dst, std::int32_t length,
   msg.created = now_;
   messages_.push_back(std::move(msg));
   active_pos_.push_back(-1);
+  route_memo_.emplace_back();
   source_queues_[static_cast<std::size_t>(src)].push_back(id);
   sched_insert_src(src);  // schedule the node's next grant pass
   ++counters_.generated;
@@ -312,6 +334,7 @@ void Network::deactivate(Message& msg) {
   active_pos_[static_cast<std::size_t>(moved)] = pos;
   active_.pop_back();
   active_pos_[static_cast<std::size_t>(msg.id)] = -1;
+  route_memo_[static_cast<std::size_t>(msg.id)] = {};  // frees its storage
 }
 
 // The serial engine's transmit: one same-cycle sweep over its single shard,
@@ -724,18 +747,24 @@ void Network::restore_state(BinReader& in, std::uint32_t version) {
   if (in.u64() != phys_.size()) snapshot_mismatch("physical channel count");
   for (PhysChannel& pc : phys_) {
     pc.rr_cursor = in.i32();
+    if (pc.rr_cursor < 0 || pc.rr_cursor >= pc.num_vcs) {
+      snapshot_mismatch("arbitration cursor out of range");
+    }
     pc.faulted = in.u8() != 0;
   }
 
   if (in.u64() != vcs_.size()) snapshot_mismatch("virtual channel count");
   for (VcState& vc : vcs_) {
-    vc.owner = in.i64();
-    vc.route_out = in.i32();
-    vc.route_in = in.i32();
+    vc.owner = in.i64();  // range-checked once the message table is read
+    vc.route_out = restore_vc_link(in, vcs_.size());
+    vc.route_in = restore_vc_link(in, vcs_.size());
     vc.buffer.restore_state(in);
   }
 
   const std::uint64_t num_messages = in.u64();
+  // Each message takes dozens of bytes; a larger count is corrupt, and
+  // reserving it would over-allocate.
+  if (num_messages > in.remaining()) snapshot_mismatch("message count");
   messages_.clear();
   messages_.reserve(static_cast<std::size_t>(num_messages));
   for (std::uint64_t i = 0; i < num_messages; ++i) {
@@ -743,6 +772,10 @@ void Network::restore_state(BinReader& in, std::uint32_t version) {
     msg.id = static_cast<MessageId>(i);
     msg.src = in.i32();
     msg.dst = in.i32();
+    if (!id_in_range(msg.src, source_queues_.size()) ||
+        !id_in_range(msg.dst, source_queues_.size())) {
+      snapshot_mismatch("message endpoint out of range");
+    }
     msg.length = in.i32();
     msg.created = in.i64();
     msg.injected = in.i64();
@@ -760,13 +793,24 @@ void Network::restore_state(BinReader& in, std::uint32_t version) {
     restore_id_vector(in, msg.request_set, vcs_.size());
     messages_.push_back(std::move(msg));
   }
+  for (const VcState& vc : vcs_) {
+    if (vc.owner != kInvalidMessage && !id_in_range(vc.owner, num_messages)) {
+      snapshot_mismatch("VC owner out of range");
+    }
+  }
 
   if (in.u64() != source_queues_.size()) snapshot_mismatch("node count");
   for (auto& queue : source_queues_) {
     const std::uint64_t len = in.u64();
     if (len > num_messages) snapshot_mismatch("source queue length");
     queue.clear();
-    for (std::uint64_t i = 0; i < len; ++i) queue.push_back(in.i64());
+    for (std::uint64_t i = 0; i < len; ++i) {
+      const MessageId id = in.i64();
+      if (!id_in_range(id, num_messages)) {
+        snapshot_mismatch("queued message id out of range");
+      }
+      queue.push_back(id);
+    }
   }
 
   const std::uint64_t num_active = in.u64();
@@ -776,7 +820,7 @@ void Network::restore_state(BinReader& in, std::uint32_t version) {
   active_pos_.assign(static_cast<std::size_t>(num_messages), -1);
   for (std::uint64_t i = 0; i < num_active; ++i) {
     const MessageId id = in.i64();
-    if (id < 0 || static_cast<std::uint64_t>(id) >= num_messages) {
+    if (!id_in_range(id, num_messages)) {
       snapshot_mismatch("active message id out of range");
     }
     active_pos_[static_cast<std::size_t>(id)] = static_cast<std::int32_t>(i);
@@ -787,10 +831,13 @@ void Network::restore_state(BinReader& in, std::uint32_t version) {
 
   // The epoch is deliberately NOT serialized (it is a process-local cache
   // key, not simulation state); bumping it here invalidates any detector
-  // verdict cached against the pre-restore graph. The active sets are
-  // likewise process-local scheduling state: recompute them from the
-  // restored buffers and queues (the snapshot format is unchanged).
+  // verdict cached against the pre-restore graph. The route memos and the
+  // active sets are likewise process-local: drop every memo, and recompute
+  // the sets from the restored buffers and queues (the snapshot format is
+  // unchanged).
   ++arc_epoch_;
+  route_memo_.clear();
+  route_memo_.resize(static_cast<std::size_t>(num_messages));
   rebuild_active_sets();
 
   check_invariants();

@@ -273,6 +273,21 @@ class Network {
                                std::uint32_t version = kStateFormatVersion);
 
  private:
+  /// A header's routing answer, replayed while it cannot change (DESIGN.md
+  /// §3h). Every routing relation derives it from fixed inputs plus the
+  /// header's VC and, for TFAR's self-owned detour check, the VCs the message
+  /// holds. While the header sits in one VC its held chain only shrinks, so
+  /// the key (head VC, held length) changes exactly when an input does.
+  /// Process-local: never serialized, and restore_state drops every memo.
+  struct RouteMemo {
+    VcId head_vc = kInvalidVc;  ///< kInvalidVc: no memo.
+    std::int32_t held_size = 0;
+    std::vector<ChannelId> channels;  ///< candidate_channels() order.
+    /// Each channel's allowed VCs in allocation order, grouped in `channels`
+    /// order; a channel's group is the first run of entries in its VC range.
+    std::vector<VcId> vcs;
+  };
+
   void inject_link_faults();
   [[nodiscard]] bool network_strongly_connected() const;
 
@@ -313,6 +328,10 @@ class Network {
   /// on success. `scan_index` is its position in this cycle's rotated scan.
   bool try_route_header(VcId head_vc, std::uint32_t scan_index,
                         ShardCtx& ctx);
+  /// Asks the routing relation for the header's candidate channels and their
+  /// allowed VCs, and keys `memo` to its current head VC and held length.
+  void fill_route_memo(const Message& msg, const VcState& head,
+                       RouteMemo& memo) const;
   void acquire_vc(Message& msg, VcState& from, VcState& target,
                   std::uint64_t trace_key, ShardCtx& ctx);
   void commit_route();
@@ -361,6 +380,9 @@ class Network {
   std::vector<MessageId> active_;
   std::vector<std::int32_t> active_pos_;  // message id -> index in active_
   std::vector<VcId> pending_;             // VCs holding unrouted headers
+  // Message id -> route memo, written only by the shard that owns the
+  // header's router (the rule request_set follows).
+  std::vector<RouteMemo> route_memo_;
 
   Cycle now_ = 0;
   std::uint64_t arc_epoch_ = 0;

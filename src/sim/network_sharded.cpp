@@ -259,13 +259,16 @@ void Network::route_shard(ShardCtx& ctx) {
   // walking the globally rotated order so the scan positions — the order the
   // 1-shard run processes and re-files failures — are shard-independent.
   const std::size_t count = pending_.size();
-  const std::size_t offset =
-      count == 0 ? 0 : static_cast<std::size_t>(now_) % count;
+  std::size_t pos = count == 0 ? 0 : static_cast<std::size_t>(now_) % count;
+  const bool owns_all = shard_ctx_.size() == 1;
   for (std::size_t i = 0; i < count; ++i) {
-    const VcId head_vc = pending_[(offset + i) % count];
-    const NodeId here =
-        phys(vcs_[static_cast<std::size_t>(head_vc)].channel).dst;
-    if (shard_of_node(here) != ctx.shard) continue;
+    const VcId head_vc = pending_[pos];
+    if (++pos == count) pos = 0;
+    if (!owns_all &&
+        shard_of_node(phys(vcs_[static_cast<std::size_t>(head_vc)].channel)
+                          .dst) != ctx.shard) {
+      continue;
+    }
     if (!try_route_header(head_vc, static_cast<std::uint32_t>(i), ctx)) {
       ShardRouteFailure failure;
       failure.scan_index = static_cast<std::uint32_t>(i);
@@ -311,22 +314,66 @@ void Network::route_grants(NodeId node, ShardCtx& ctx) {
   }
 }
 
+void Network::fill_route_memo(const Message& msg, const VcState& head,
+                              RouteMemo& memo) const {
+  memo.head_vc = head.id;
+  memo.held_size = static_cast<std::int32_t>(msg.held.size());
+  memo.channels.clear();
+  const NodeId here = phys(head.channel).dst;
+  if (here == msg.dst) {
+    memo.channels.push_back(ejection_channel(here));
+  } else {
+    routing_->candidate_channels(*this, msg, here, head.id, memo.channels);
+    assert(!memo.channels.empty());
+  }
+
+  memo.vcs.clear();
+  const bool high_first = routing_->prefer_high_vc_indices();
+  for (const ChannelId ch : memo.channels) {
+    const PhysChannel& pc = phys(ch);
+    for (int j = 0; j < pc.num_vcs; ++j) {
+      const int idx = high_first ? pc.num_vcs - 1 - j : j;
+      if (pc.kind == ChannelKind::Network &&
+          !routing_->vc_allowed(*this, msg, ch, idx, head.id)) {
+        continue;
+      }
+      memo.vcs.push_back(pc.first_vc + idx);
+    }
+  }
+  assert(!memo.vcs.empty());
+}
+
 bool Network::try_route_header(VcId head_vc, std::uint32_t scan_index,
                                ShardCtx& ctx) {
   VcState& v = vcs_[static_cast<std::size_t>(head_vc)];
   assert(v.owner != kInvalidMessage && v.route_out == kInvalidVc);
   assert(!v.buffer.empty() && v.buffer.front().is_head());
   Message& msg = messages_[static_cast<std::size_t>(v.owner)];
-  const NodeId here = phys(v.channel).dst;
   const std::uint64_t key = kRetryKeyBase + scan_index;
 
-  ctx.scratch_channels.clear();
-  const bool ejecting = (here == msg.dst);
-  if (ejecting) {
-    ctx.scratch_channels.push_back(ejection_channel(here));
-  } else {
-    routing_->candidate_channels(*this, msg, here, v.id, ctx.scratch_channels);
-    assert(!ctx.scratch_channels.empty());
+  // A header that failed here before, with the same held chain, gets the
+  // same candidates and allowed VCs: replay them (DESIGN.md §3h).
+  RouteMemo& memo = route_memo_[static_cast<std::size_t>(msg.id)];
+  if (memo.head_vc != head_vc ||
+      memo.held_size != static_cast<std::int32_t>(msg.held.size())) {
+    fill_route_memo(msg, v, memo);
+  } else if (memo.channels.size() == 1) {
+    // Still blocked on one channel: selection has nothing to order and draws
+    // nothing, so unless a memo VC is free the request set stands as is.
+    for (const VcId candidate : memo.vcs) {
+      VcState& w = vcs_[static_cast<std::size_t>(candidate)];
+      if (w.is_free()) {
+        acquire_vc(msg, v, w, key, ctx);
+        return true;
+      }
+    }
+    return false;
+  }
+
+  ctx.scratch_channels.assign(memo.channels.begin(), memo.channels.end());
+  if (ctx.scratch_channels.size() > 1) {
+    // A one-channel list is left as is and draws nothing (the
+    // SelectionPolicy::order contract), so only longer lists are ordered.
     if (sharded_) {
       // Sharded selection draws from a per-(message, cycle) hash stream: the
       // serial engine's shared generator encodes the serial visit order in
@@ -343,19 +390,17 @@ bool Network::try_route_header(VcId head_vc, std::uint32_t scan_index,
   }
 
   ctx.scratch_vcs.clear();
-  const bool high_first = routing_->prefer_high_vc_indices();
   for (const ChannelId ch : ctx.scratch_channels) {
+    // The channel's allowed VCs: the memo's run of ids in its VC range.
     const PhysChannel& pc = phys(ch);
-    for (int j = 0; j < pc.num_vcs; ++j) {
-      const int idx = high_first ? pc.num_vcs - 1 - j : j;
-      if (pc.kind == ChannelKind::Network &&
-          !routing_->vc_allowed(*this, msg, ch, idx, v.id)) {
-        continue;
-      }
-      ctx.scratch_vcs.push_back(pc.first_vc + idx);
+    const auto in_channel = [&pc](VcId id) {
+      return id >= pc.first_vc && id < pc.first_vc + pc.num_vcs;
+    };
+    auto it = std::find_if(memo.vcs.begin(), memo.vcs.end(), in_channel);
+    for (; it != memo.vcs.end() && in_channel(*it); ++it) {
+      ctx.scratch_vcs.push_back(*it);
     }
   }
-  assert(!ctx.scratch_vcs.empty());
 
   for (const VcId candidate : ctx.scratch_vcs) {
     VcState& w = vcs_[static_cast<std::size_t>(candidate)];
@@ -366,7 +411,9 @@ bool Network::try_route_header(VcId head_vc, std::uint32_t scan_index,
   }
 
   const bool newly_blocked = !msg.blocked;
-  if (newly_blocked || msg.request_set != ctx.scratch_vcs) ++ctx.epoch;
+  // Still blocked on the same request set in the same order: no arc changed.
+  if (!newly_blocked && msg.request_set == ctx.scratch_vcs) return false;
+  ++ctx.epoch;
   if (newly_blocked) {
     msg.blocked = true;
     msg.blocked_since = now_;
@@ -424,6 +471,8 @@ void Network::acquire_vc(Message& msg, VcState& from, VcState& target,
   target.route_in = from.id;
   from.route_out = target.id;
   msg.held.push_back(target.id);
+  // The header moves on: its memo described the old router.
+  route_memo_[static_cast<std::size_t>(msg.id)].head_vc = kInvalidVc;
   ++ctx.epoch;  // new solid arc; the unblocked message drops its dashed arcs
   // The target channel is out of the header's router, so it belongs to this
   // shard: wake it directly.

@@ -23,6 +23,7 @@
 #include "exp/experiment.hpp"
 #include "routing/routing.hpp"
 #include "routing/selection.hpp"
+#include "routing_variants.hpp"
 #include "sim/network.hpp"
 #include "snapshot/snapshot.hpp"
 #include "traffic/injection.hpp"
@@ -294,6 +295,28 @@ TEST(ShardedStep, ShardedSemanticsPinned) {
     ExperimentConfig cfg = grid_config(pin.routing, 0.5);
     cfg.run.shards = 1;
     EXPECT_EQ(state_hash_after(cfg, 2000), pin.hash);
+  }
+}
+
+TEST(ShardedStep, ShardedRoutingVariantsPinned) {
+  // The remaining routing relations and selection policies at 1 shard, one
+  // hash each, in kRoutingVariants order. Recorded before blocked headers
+  // replayed a memoized route, which must leave every one unchanged.
+  const std::uint64_t hashes[] = {
+      0xe88d1b70c0d76c54ULL,
+      0x9393f0dc3dc85c12ULL,
+      0x93e029a61916fecdULL,
+      0xae3a969252c1b5f6ULL,
+      0xa77dd6efbbf0307aULL,
+      0xd139258ae5f62925ULL,
+  };
+  static_assert(std::size(hashes) == std::size(kRoutingVariants));
+  for (std::size_t i = 0; i < std::size(hashes); ++i) {
+    SCOPED_TRACE(kRoutingVariants[i].name);
+    ExperimentConfig cfg = apply_variant(grid_config(RoutingKind::TFAR, 0.5),
+                                         kRoutingVariants[i]);
+    cfg.run.shards = 1;
+    EXPECT_EQ(state_hash_after(cfg, 2000), hashes[i]);
   }
 }
 

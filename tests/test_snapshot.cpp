@@ -9,11 +9,16 @@
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "exp/experiment.hpp"
+#include "routing/routing.hpp"
+#include "routing/selection.hpp"
+#include "sim/message_class.hpp"
+#include "sim/network.hpp"
 #include "snapshot/corpus.hpp"
 #include "util/binio.hpp"
 
@@ -169,6 +174,135 @@ TEST(SnapshotCodec, RestoreIntoMismatchedTopologyThrows) {
   Snapshot snap = sim.make_checkpoint();
   snap.sim.topology.k = 8;  // state no longer fits the claimed shape
   EXPECT_THROW((void)restore_snapshot(snap), std::runtime_error);
+}
+
+/// Offset of the first instance of each id field, and of the message count,
+/// in a Network::save_state payload (format v3), found by walking the layout
+/// save_state writes. 0 marks a field the payload does not contain (offset 0
+/// is the cycle).
+struct IdOffsets {
+  std::size_t rr_cursor = 0;  // i32
+  std::size_t owner = 0;      // i64
+  std::size_t route_out = 0;  // i32
+  std::size_t route_in = 0;   // i32
+  std::size_t messages = 0;   // u64
+  std::size_t src = 0;        // i32
+  std::size_t dst = 0;        // i32
+  std::size_t held = 0;       // i32
+  std::size_t request = 0;    // i32
+  std::size_t queued = 0;     // i64
+  std::size_t pending = 0;    // i32
+};
+
+IdOffsets find_id_offsets(const std::vector<std::uint8_t>& bytes) {
+  BinReader in(bytes.data(), bytes.size());
+  const auto at = [&] { return bytes.size() - in.remaining(); };
+  const auto note = [&](std::size_t& slot) {
+    if (slot == 0) slot = at();
+  };
+  IdOffsets o;
+  in.skip(8 + 4 + 4);                           // cycle, blocked, faulted
+  in.skip(8 * (7 + 4 * kNumMessageClasses));    // counters
+  in.skip(8 * 3);                               // generator
+  const std::uint64_t channels = in.u64();
+  note(o.rr_cursor);
+  in.skip(5 * channels);                        // cursor, fault flag
+  const std::uint64_t vcs = in.u64();
+  for (std::uint64_t i = 0; i < vcs; ++i) {
+    const std::size_t owner_at = at();
+    if (in.i64() != kInvalidMessage && o.owner == 0) o.owner = owner_at;
+    const std::size_t out_at = at();
+    if (in.i32() != kInvalidVc && o.route_out == 0) o.route_out = out_at;
+    const std::size_t in_at = at();
+    if (in.i32() != kInvalidVc && o.route_in == 0) o.route_in = in_at;
+    in.skip(20 * static_cast<std::size_t>(in.i32()));  // flits
+  }
+  note(o.messages);
+  const std::uint64_t messages = in.u64();
+  for (std::uint64_t i = 0; i < messages; ++i) {
+    note(o.src);
+    in.skip(4);
+    note(o.dst);
+    in.skip(4);
+    in.skip(55);  // length through class
+    for (std::size_t* list : {&o.held, &o.request}) {
+      const std::uint64_t count = in.u64();
+      if (count > 0) note(*list);
+      in.skip(4 * count);
+    }
+  }
+  const std::uint64_t nodes = in.u64();
+  for (std::uint64_t i = 0; i < nodes; ++i) {
+    const std::uint64_t queued = in.u64();
+    if (queued > 0) note(o.queued);
+    in.skip(8 * queued);
+  }
+  in.skip(8 * in.u64());  // active list
+  if (in.u64() > 0) note(o.pending);
+  return o;
+}
+
+TEST(NetworkRestore, RejectsOutOfRangeIds) {
+  // snapshot_dump --replay and checkpoint resume restore untrusted payloads:
+  // an id that indexes past its table must fail with an error, not read out
+  // of bounds, and a message count must not reserve past the payload. A
+  // 4-node unidirectional ring where every node sends three messages two
+  // hops ahead deadlocks, so its payload holds owned VCs, linked chains,
+  // request sets, pending headers and queued messages.
+  SimConfig cfg;
+  cfg.topology.k = 4;
+  cfg.topology.n = 1;
+  cfg.topology.bidirectional = false;
+  cfg.routing = RoutingKind::DOR;
+  const auto make = [&cfg] {
+    return std::make_unique<Network>(
+        cfg, NetworkDeps{nullptr, make_routing(cfg),
+                         make_selection(cfg.selection)});
+  };
+  const auto net = make();
+  for (NodeId node = 0; node < 4; ++node) {
+    for (int i = 0; i < 3; ++i) net->enqueue_message(node, (node + 2) % 4, 8);
+  }
+  for (int i = 0; i < 50; ++i) net->step();
+  BinWriter out;
+  net->save_state(out);
+  const std::vector<std::uint8_t> good = out.bytes();
+  {
+    BinReader in(good.data(), good.size());
+    EXPECT_NO_THROW(make()->restore_state(in));
+  }
+
+  const IdOffsets o = find_id_offsets(good);
+  const struct {
+    const char* field;
+    std::size_t offset;
+    bool wide;  // i64 rather than i32
+    std::int64_t value;
+  } cases[] = {
+      {"arbitration cursor", o.rr_cursor, false, 7},
+      {"VC owner", o.owner, true, std::int64_t{1} << 40},
+      {"negative VC owner", o.owner, true, -2},
+      {"route_out", o.route_out, false, 1 << 30},
+      {"route_in", o.route_in, false, 1 << 30},
+      {"message count", o.messages, true, std::int64_t{1} << 40},
+      {"message source", o.src, false, 4},
+      {"message destination", o.dst, false, -3},
+      {"held VC", o.held, false, 1 << 30},
+      {"requested VC", o.request, false, -2},
+      {"queued message", o.queued, true, std::int64_t{1} << 40},
+      {"pending VC", o.pending, false, 1 << 30},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.field);
+    ASSERT_NE(c.offset, 0u) << "field absent from the payload";
+    std::vector<std::uint8_t> bad = good;
+    const auto bits = static_cast<std::uint64_t>(c.value);
+    for (std::size_t b = 0; b < (c.wide ? 8u : 4u); ++b) {
+      bad[c.offset + b] = static_cast<std::uint8_t>(bits >> (8 * b));
+    }
+    BinReader in(bad.data(), bad.size());
+    EXPECT_THROW(make()->restore_state(in), std::runtime_error);
+  }
 }
 
 // ------------------------------------------------- round-trip determinism

@@ -21,6 +21,7 @@
 #include "exp/experiment.hpp"
 #include "routing/routing.hpp"
 #include "routing/selection.hpp"
+#include "routing_variants.hpp"
 #include "sim/network.hpp"
 #include "snapshot/snapshot.hpp"
 #include "traffic/injection.hpp"
@@ -262,6 +263,27 @@ TEST(StepEquivalence, SerialSemanticsPinned) {
     SCOPED_TRACE(to_string(pin.routing));
     const ExperimentConfig cfg = grid_config(pin.routing, 0.5);
     EXPECT_EQ(state_hash_after(cfg, 2000), pin.hash);
+  }
+}
+
+TEST(StepEquivalence, SerialRoutingVariantsPinned) {
+  // The remaining routing relations and selection policies, one hash each,
+  // in kRoutingVariants order. Recorded before blocked headers replayed a
+  // memoized route, which must leave every one unchanged.
+  const std::uint64_t hashes[] = {
+      0x512c82dcbe0622e0ULL,
+      0x5b9b8b5b4f214c09ULL,
+      0xe0fa8bab3eeea838ULL,
+      0x888ad89a94afac7dULL,
+      0x977d80b579e52387ULL,
+      0xbd42eab654245fa6ULL,
+  };
+  static_assert(std::size(hashes) == std::size(kRoutingVariants));
+  for (std::size_t i = 0; i < std::size(hashes); ++i) {
+    SCOPED_TRACE(kRoutingVariants[i].name);
+    const ExperimentConfig cfg = apply_variant(
+        grid_config(RoutingKind::TFAR, 0.5), kRoutingVariants[i]);
+    EXPECT_EQ(state_hash_after(cfg, 2000), hashes[i]);
   }
 }
 
