@@ -1,6 +1,7 @@
 #include "core/detector.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "core/recovery.hpp"
 #include "sim/network.hpp"
@@ -222,9 +223,14 @@ void DeadlockDetector::restore_state(BinReader& in, std::uint32_t version) {
   transient_knots_ = in.i64();
   livelocks_ = in.i64();
   invocations_ = in.i64();
+  // Each record and sample takes dozens of bytes; a count larger than the
+  // remaining payload is corrupt, and reserving it would over-allocate.
   records_.clear();
   const std::uint64_t nrecords = in.u64();
-  records_.reserve(nrecords);
+  if (nrecords > in.remaining()) {
+    throw std::runtime_error("detector state: record count exceeds payload");
+  }
+  records_.reserve(static_cast<std::size_t>(nrecords));
   for (std::uint64_t i = 0; i < nrecords; ++i) {
     DeadlockRecord r;
     r.detected_at = in.i64();
@@ -239,7 +245,10 @@ void DeadlockDetector::restore_state(BinReader& in, std::uint32_t version) {
   }
   cycle_samples_.clear();
   const std::uint64_t nsamples = in.u64();
-  cycle_samples_.reserve(nsamples);
+  if (nsamples > in.remaining()) {
+    throw std::runtime_error("detector state: sample count exceeds payload");
+  }
+  cycle_samples_.reserve(static_cast<std::size_t>(nsamples));
   for (std::uint64_t i = 0; i < nsamples; ++i) {
     CycleSample s2;
     s2.at = in.i64();

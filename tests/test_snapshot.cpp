@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/detector.hpp"
 #include "exp/experiment.hpp"
 #include "routing/routing.hpp"
 #include "routing/selection.hpp"
@@ -302,6 +303,39 @@ TEST(NetworkRestore, RejectsOutOfRangeIds) {
     }
     BinReader in(bad.data(), bad.size());
     EXPECT_THROW(make()->restore_state(in), std::runtime_error);
+  }
+}
+
+TEST(DetectorRestore, RejectsOversizedCounts) {
+  // The detector payload's record and cycle-sample counts come from the
+  // same untrusted bytes: a count past the payload must fail with an error
+  // before it reserves, not allocate it.
+  const DeadlockDetector saved(DetectorConfig{}, 5);
+  BinWriter out;
+  saved.save_state(out);
+  const std::vector<std::uint8_t> good = out.bytes();
+  {
+    DeadlockDetector det(DetectorConfig{}, 5);
+    BinReader in(good.data(), good.size());
+    EXPECT_NO_THROW(det.restore_state(in));
+  }
+
+  // Generator (3 x u64) and four i64 tallies precede the record count; with
+  // no records, the sample count follows it.
+  const struct {
+    const char* field;
+    std::size_t offset;
+  } cases[] = {{"record count", 56}, {"cycle-sample count", 64}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.field);
+    std::vector<std::uint8_t> bad = good;
+    const std::uint64_t count = std::uint64_t{1} << 40;
+    for (std::size_t b = 0; b < 8; ++b) {
+      bad[c.offset + b] = static_cast<std::uint8_t>(count >> (8 * b));
+    }
+    DeadlockDetector det(DetectorConfig{}, 5);
+    BinReader in(bad.data(), bad.size());
+    EXPECT_THROW(det.restore_state(in), std::runtime_error);
   }
 }
 
