@@ -51,14 +51,13 @@ BENCHMARK(BM_NetworkStep)->Arg(8)->Arg(16)->Arg(32);
 /// 2-cube at load 0.5, with deadlock recovery left on (default RemoveOldest,
 /// interval 50) so the network keeps flowing for the whole measured run — a
 /// permanently wedged network sheds its active sets and leaves nothing to
-/// parallelize. Arg is the shard count; 0 runs the serial engine in the
-/// identical harness so the single-shard overhead is measured like-for-like.
-/// Wall clock (UseRealTime) is the honest metric for a multi-threaded step:
-/// the compare_bench.py gate enforces /8 at >= 3x over /1 and /1 within 10%
-/// of /0 on real time within one summary. Every arg steps the same fixed
-/// number of cycles from the same warm start, so the legs average over the
-/// same stretch of simulated time instead of whatever iteration count
-/// google-benchmark picks for each.
+/// parallelize. Arg is the shard count; /1 is the default engine (one shard
+/// stepped inline). Wall clock (UseRealTime) is the honest metric for a
+/// multi-threaded step: on hosts with >= 8 hardware threads the
+/// compare_bench.py gate enforces /8 at >= 3x over /1 on real time within
+/// one summary. Every arg steps the same fixed number of cycles from the
+/// same warm start, so the legs average over the same stretch of simulated
+/// time instead of whatever iteration count google-benchmark picks for each.
 constexpr int kShardedIterations = 10000;
 
 void BM_NetworkStepSharded(benchmark::State& state) {
@@ -72,7 +71,7 @@ void BM_NetworkStepSharded(benchmark::State& state) {
   cfg.detector.keep_records = false;
   auto sim = std::make_unique<Simulation>(cfg);
   sim->run_cycles(3000);
-  if (shards > 0) sim->network().set_shards(shards);
+  sim->network().set_shards(shards);
   for (auto _ : state) {
     sim->injection().tick(sim->network());
     sim->network().step();
@@ -82,7 +81,6 @@ void BM_NetworkStepSharded(benchmark::State& state) {
                           sim->network().topology().num_nodes());
 }
 BENCHMARK(BM_NetworkStepSharded)
-    ->Arg(0)
     ->Arg(1)
     ->Arg(2)
     ->Arg(4)

@@ -42,7 +42,7 @@ std::string describe_vc(const Network& net, VcId vc_id) {
                     vc_id, coords.coordinate(pc.src, 0),
                     coords.coordinate(pc.src, 1), coords.coordinate(pc.dst, 0),
                     coords.coordinate(pc.dst, 1), pc.dim,
-                    pc.dir > 0 ? "+" : "-", vc.index);
+                    pc.dir > 0 ? "+" : "-", vc.id - pc.first_vc);
       break;
   }
   return buf;

@@ -24,7 +24,7 @@
 //   ./sweep_cli --routing TFAR --k 32 --n 3 --loads 0.4 --shards auto
 //                                            # 32k routers, parallel stepping
 //   ./sweep_cli --routing DOR --loads 0.5 --shards 8
-//       # deterministic: byte-identical to --shards 1 for any shard count.
+//       # deterministic: byte-identical to the default engine for any count.
 //       # --shards outranks FLEXNET_THREADS ('auto' = that thread count,
 //       # capped at the node count); combining with --step-dense is an error.
 //   ./sweep_cli --topology file:examples/topologies/irregular-16.topo
@@ -108,6 +108,8 @@ int main(int argc, char** argv) {
     }
 
     const std::vector<double> loads = loads_from_options(*opts);
+    // Read before the sweep, so a bare --csv fails before any work is done.
+    const std::string csv_path = opts->get("csv");
 
     std::cout << "flexnet sweep: " << to_string(base.sim.routing) << ", "
               << base.sim.vcs << " VC(s), ";
@@ -137,13 +139,12 @@ int main(int argc, char** argv) {
     }
 
     if (opts->has("csv")) {
-      std::ofstream out(opts->get("csv"));
+      std::ofstream out(csv_path);
       if (!out) {
-        throw std::runtime_error("cannot open CSV output file: " +
-                                 opts->get("csv"));
+        throw std::runtime_error("cannot open CSV output file: " + csv_path);
       }
       write_results_csv(out, results, opts->get("label", "sweep"));
-      std::cout << "\nCSV written to " << opts->get("csv") << '\n';
+      std::cout << "\nCSV written to " << csv_path << '\n';
     }
 
     if (opts->get_bool("heatmap-ascii", false)) {

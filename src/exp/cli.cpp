@@ -180,7 +180,7 @@ ExperimentConfig experiment_from_options(const Options& opts) {
     if (cfg.run.step_dense) {
       throw std::invalid_argument(
           "--shards cannot combine with --step-dense (the dense sweep is the "
-          "serial engine's oracle)");
+          "one-shard event core's oracle)");
     }
   }
 

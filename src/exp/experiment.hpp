@@ -34,12 +34,12 @@ struct RunConfig {
   /// state: both paths produce byte-identical results, so it is never
   /// serialized and a resumed run honors the resuming command line.
   bool step_dense = false;
-  /// Sharded parallel stepping (--shards): 0 = serial engine, -1 = auto
-  /// (min(worker_thread_count(), nodes); worker_thread_count honors
-  /// FLEXNET_THREADS), N >= 1 = exactly N shards. Like step_dense this is an
-  /// execution strategy, never serialized: a resumed run honors the resuming
-  /// command line, and any shard count >= 1 produces byte-identical results
-  /// to any other (Network::set_shards).
+  /// Sharded parallel stepping (--shards): 0 = one shard stepped inline,
+  /// -1 = auto (min(worker_thread_count(), nodes); worker_thread_count
+  /// honors FLEXNET_THREADS), N >= 1 = exactly N shards. Like step_dense
+  /// this is an execution strategy, never serialized: a resumed run honors
+  /// the resuming command line, and every shard count produces
+  /// byte-identical results (Network::set_shards).
   int shards = 0;
 };
 

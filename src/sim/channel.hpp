@@ -12,7 +12,11 @@ namespace flexnet {
 struct VcState {
   VcId id = kInvalidVc;
   ChannelId channel = kInvalidChannel;
-  int index = 0;  ///< Position within the owning physical channel.
+  /// Cycle in which the one-shard transmit sweep last popped a flit from
+  /// this VC (-1: never). The sweep adds that flit back to read the
+  /// occupancy the VC had when transmit began (DESIGN.md §3j). The VC's
+  /// position within its physical channel is `id - phys(channel).first_vc`.
+  Cycle popped_at = -1;
 
   MessageId owner = kInvalidMessage;
   VcId route_out = kInvalidVc;  ///< Downstream VC the owner forwards into.
@@ -29,7 +33,15 @@ struct VcState {
     route_out = kInvalidVc;
     route_in = kInvalidVc;
   }
+
+  /// Full when transmit began: a flit popped earlier in this transmit phase
+  /// still counts, so its slot is granted one cycle later (the credit rule).
+  [[nodiscard]] bool full_at_transmit_start(Cycle now) const noexcept {
+    return buffer.size() + (popped_at == now ? 1 : 0) >= buffer.capacity();
+  }
 };
+
+static_assert(sizeof(VcState) <= 64, "a VC fits one cache line");
 
 /// One physical channel with its contiguous block of VCs and the round-robin
 /// pointer used to arbitrate the single flit it can transmit per cycle.

@@ -13,6 +13,7 @@
 #include "topo/factory.hpp"
 #include "util/binio.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace flexnet {
 
@@ -23,21 +24,6 @@ namespace {
 
 [[noreturn]] void snapshot_mismatch(const std::string& what) {
   throw std::runtime_error("snapshot does not match this network: " + what);
-}
-
-void save_rng(BinWriter& out, const Pcg32& rng) {
-  const Pcg32::State s = rng.save();
-  out.u64(s.state);
-  out.u64(s.inc);
-  out.u64(s.draws);
-}
-
-void restore_rng(BinReader& in, Pcg32& rng) {
-  Pcg32::State s;
-  s.state = in.u64();
-  s.inc = in.u64();
-  s.draws = in.u64();
-  rng.restore(s);
 }
 
 void save_id_vector(BinWriter& out, const std::vector<VcId>& ids) {
@@ -95,8 +81,7 @@ Network::Network(const SimConfig& config, NetworkDeps deps)
     : config_(config),
       topo_(deps.topology ? std::move(deps.topology) : make_topology(config)),
       routing_(std::move(deps.routing)),
-      selection_(std::move(deps.selection)),
-      rng_(splitmix64(config.seed), 0x6e657477 /* "netw" */) {
+      selection_(std::move(deps.selection)) {
   config_.validate();
   if (!topo_) throw std::invalid_argument("Network requires a topology");
   if (!routing_ || !selection_) {
@@ -153,14 +138,13 @@ Network::Network(const SimConfig& config, NetworkDeps deps)
       VcState vc(config_.buffer_depth);
       vc.id = static_cast<VcId>(vcs_.size());
       vc.channel = pc.id;
-      vc.index = i;
       vcs_.push_back(std::move(vc));
     }
   }
 
   source_queues_.resize(static_cast<std::size_t>(nodes));
 
-  set_shards(0);  // the serial engine: one shard, stepped inline
+  set_shards(1);  // one shard, stepped inline on the calling thread
 
   if (config_.link_fault_fraction > 0.0) inject_link_faults();
 
@@ -294,11 +278,7 @@ void Network::step() {
   }
   {
     ScopedPhase timer(hooks_.profiler, SimPhase::Transmit);
-    if (sharded_) {
-      transmit_phase_sharded();
-    } else {
-      transmit_phase();
-    }
+    transmit_phase();
   }
   ++now_;
 }
@@ -337,18 +317,6 @@ void Network::deactivate(Message& msg) {
   route_memo_[static_cast<std::size_t>(msg.id)] = {};  // frees its storage
 }
 
-// The serial engine's transmit: one same-cycle sweep over its single shard,
-// so a flit that frees buffer space lets a higher-numbered channel pull into
-// it in the same cycle (compaction chains along ascending channel ids). The
-// sharded engine decides against cycle-start state instead (DESIGN.md §3j).
-void Network::transmit_phase() {
-  ShardCtx& ctx = shard_ctx_.front();
-  for (std::int32_t ch = ctx.chan_active.first(); ch != -1;
-       ch = ctx.chan_active.next_after(ch)) {
-    transmit_channel(phys_[static_cast<std::size_t>(ch)], ctx);
-  }
-}
-
 bool Network::transmit_work_possible(const PhysChannel& pc) const {
   if (pc.kind == ChannelKind::Injection) {
     for (int i = 0; i < pc.num_vcs; ++i) {
@@ -367,89 +335,6 @@ bool Network::transmit_work_possible(const PhysChannel& pc) const {
     if (!vcs_[static_cast<std::size_t>(w.route_in)].buffer.empty()) return true;
   }
   return false;
-}
-
-void Network::transmit_channel(PhysChannel& pc, ShardCtx& ctx) {
-  bool moved = false;
-  if (pc.kind == ChannelKind::Injection) {
-    for (int j = 0; j < pc.num_vcs; ++j) {
-      int idx = pc.rr_cursor + j;
-      if (idx >= pc.num_vcs) idx -= pc.num_vcs;
-      VcState& w = vcs_[static_cast<std::size_t>(pc.first_vc + idx)];
-      if (w.is_free() || w.buffer.full()) continue;
-      // w.buffer.full() checked above; also need unsent flits.
-      Message& msg = messages_[static_cast<std::size_t>(w.owner)];
-      if (msg.flits_sent >= msg.length) continue;
-      Flit flit;
-      flit.message = msg.id;
-      flit.seq = msg.flits_sent++;
-      flit.arrived = now_;
-      w.buffer.push(flit);
-      if (flit.is_head()) pending_.push_back(w.id);
-      if (w.route_out != kInvalidVc) {
-        // A routed head is already downstream; feed its channel.
-        ctx.chan_active.insert(
-            vcs_[static_cast<std::size_t>(w.route_out)].channel);
-      }
-      if (hooks_.heatmap != nullptr) hooks_.heatmap->on_traversal(pc.id, w.id);
-      if (hooks_.tracer != nullptr) {
-        trace(TraceEventKind::FlitInjected, msg.id, w.id, kInvalidVc,
-              flit.seq);
-      }
-      pc.rr_cursor = idx + 1 == pc.num_vcs ? 0 : idx + 1;
-      moved = true;
-      break;
-    }
-    // A channel that just moved a flit stays scheduled (it is revisited and
-    // re-checked next cycle anyway); only a fruitless visit pays the full
-    // work scan to decide whether to deschedule.
-    if (!moved && !transmit_work_possible(pc)) ctx.chan_active.erase(pc.id);
-    return;
-  }
-
-  // Network and ejection channels pull from the feeding upstream VC.
-  for (int j = 0; j < pc.num_vcs; ++j) {
-    int idx = pc.rr_cursor + j;
-    if (idx >= pc.num_vcs) idx -= pc.num_vcs;
-    VcState& w = vcs_[static_cast<std::size_t>(pc.first_vc + idx)];
-    if (w.is_free() || w.route_in == kInvalidVc || w.buffer.full()) continue;
-    VcState& u = vcs_[static_cast<std::size_t>(w.route_in)];
-    if (u.buffer.empty() || u.buffer.front().arrived >= now_) continue;
-    Flit flit = u.buffer.pop();
-    assert(flit.message == w.owner);
-    ctx.chan_active.insert(u.channel);  // freed buffer space upstream
-    Message& msg = messages_[static_cast<std::size_t>(flit.message)];
-    const bool tail_left_upstream = flit.is_tail_of(msg.length);
-    if (tail_left_upstream) {
-      assert(!msg.held.empty() && msg.held.front() == u.id);
-      msg.held.erase(msg.held.begin());
-      u.release();
-      w.route_in = kInvalidVc;  // no further flits arrive from upstream
-      ++arc_epoch_;  // oldest solid arc retired, VC ownership vacated
-    }
-    flit.arrived = now_;
-    w.buffer.push(flit);
-    if (pc.kind == ChannelKind::Ejection) {
-      ctx.eject_active.insert(pc.dst);  // the reception interface has work
-    } else if (w.route_out != kInvalidVc) {
-      ctx.chan_active.insert(
-          vcs_[static_cast<std::size_t>(w.route_out)].channel);
-    }
-    if (hooks_.heatmap != nullptr) hooks_.heatmap->on_traversal(pc.id, w.id);
-    if (hooks_.tracer != nullptr) {
-      trace(TraceEventKind::FlitHopped, msg.id, w.id, u.id, flit.seq);
-      if (tail_left_upstream) {
-        trace(TraceEventKind::VcFreed, msg.id, u.id);
-      }
-    }
-    if (flit.is_head() && pc.kind != ChannelKind::Ejection) {
-      pending_.push_back(w.id);
-    }
-    pc.rr_cursor = idx + 1 == pc.num_vcs ? 0 : idx + 1;
-    moved = true;
-    break;  // one flit per physical channel per cycle
-  }
-  if (!moved && !transmit_work_possible(pc)) ctx.chan_active.erase(pc.id);
 }
 
 void Network::remove_message(MessageId id) {
@@ -688,7 +573,6 @@ void Network::save_state(BinWriter& out) const {
   out.i32(blocked_count_);
   out.i32(faulted_);
   save_counters(out, counters_);
-  save_rng(out, rng_);
 
   out.u64(phys_.size());
   for (const PhysChannel& pc : phys_) {
@@ -742,7 +626,10 @@ void Network::restore_state(BinReader& in, std::uint32_t version) {
   blocked_count_ = in.i32();
   faulted_ = in.i32();
   restore_counters(in, counters_, version);
-  restore_rng(in, rng_);
+  if (version < 4) {
+    // v1-v3 carried the removed network generator's three words.
+    for (int i = 0; i < 3; ++i) (void)in.u64();
+  }
 
   if (in.u64() != phys_.size()) snapshot_mismatch("physical channel count");
   for (PhysChannel& pc : phys_) {
@@ -755,6 +642,7 @@ void Network::restore_state(BinReader& in, std::uint32_t version) {
 
   if (in.u64() != vcs_.size()) snapshot_mismatch("virtual channel count");
   for (VcState& vc : vcs_) {
+    vc.popped_at = -1;  // now_ may have moved backwards: no stale stamp
     vc.owner = in.i64();  // range-checked once the message table is read
     vc.route_out = restore_vc_link(in, vcs_.size());
     vc.route_in = restore_vc_link(in, vcs_.size());
@@ -833,8 +721,7 @@ void Network::restore_state(BinReader& in, std::uint32_t version) {
   // key, not simulation state); bumping it here invalidates any detector
   // verdict cached against the pre-restore graph. The route memos and the
   // active sets are likewise process-local: drop every memo, and recompute
-  // the sets from the restored buffers and queues (the snapshot format is
-  // unchanged).
+  // the sets from the restored buffers and queues.
   ++arc_epoch_;
   route_memo_.clear();
   route_memo_.resize(static_cast<std::size_t>(num_messages));

@@ -31,7 +31,6 @@
 #include "topo/partition.hpp"
 #include "topo/topology.hpp"
 #include "trace/trace.hpp"
-#include "util/rng.hpp"
 
 namespace flexnet {
 
@@ -153,11 +152,10 @@ class Network {
   /// request-set changes (dashed arcs), message completion/removal, and
   /// snapshot restore. Equal epochs across two instants guarantee an
   /// identical CWG, which lets the deadlock detector skip or reuse a pass.
-  /// Under sharded stepping the counter is composed: a base term (main-thread
-  /// events) plus one monotonic term per shard, so workers bump their own
-  /// term without synchronization and the sum keeps the equal-epochs
-  /// guarantee (every term is non-decreasing, so sums collide only when no
-  /// term moved).
+  /// The counter is composed: a base term (main-thread events) plus one
+  /// monotonic term per shard, so workers bump their own term without
+  /// synchronization and the sum keeps the equal-epochs guarantee (every
+  /// term is non-decreasing, so sums collide only when no term moved).
   [[nodiscard]] std::uint64_t arc_epoch() const noexcept {
     std::uint64_t epoch = arc_epoch_;
     for (const ShardCtx& ctx : shard_ctx_) epoch += ctx.epoch;
@@ -191,28 +189,22 @@ class Network {
   void set_step_dense(bool dense) noexcept { step_dense_ = dense; }
   [[nodiscard]] bool step_dense() const noexcept { return step_dense_; }
 
-  /// Selects the sharded parallel stepping engine with `shards` spatial
-  /// domains (>= 1; one worker thread per shard, the caller participating),
-  /// or restores the serial engine with 0 — one shard, stepped inline on the
-  /// calling thread. Both run the same deliver and route workers. Safe to
-  /// flip between steps.
+  /// Steps with `shards` spatial domains: one worker thread per shard, the
+  /// caller participating. 0 and 1 are the same call: one shard, stepped
+  /// inline on the calling thread (the default). Safe to flip between steps.
   ///
-  /// The sharded engine is deterministic in the strong sense the serial
-  /// engine pairs are: every shard count from 1 upward produces byte-
-  /// identical state, traces, counters and snapshots. It is NOT byte-
-  /// identical to the serial engine — transmit grants buffer space against
-  /// cycle-start occupancy (a one-cycle credit-return delay instead of the
-  /// serial sweep's same-cycle compaction chaining) and adaptive selection
-  /// draws from a per-(message, cycle) hash stream instead of the shared
-  /// serial RNG — so the serial path remains the semantics oracle and the
-  /// 1-shard run is the byte-equality oracle for N shards (DESIGN.md §3j).
-  /// Throws std::invalid_argument for shards > nodes and when the dense
-  /// sweep is active (the oracles compose with the event core, not with
-  /// each other).
+  /// Every shard count produces byte-identical state, traces, counters and
+  /// snapshots: transmit grants buffer space against the occupancy a VC had
+  /// when transmit began (a one-cycle credit return), and adaptive selection
+  /// draws from a per-(message, cycle) hash stream (DESIGN.md §3j). One
+  /// shard runs transmit as a single sweep, more run decide/pop/push.
+  /// Throws std::invalid_argument for shards > nodes and for more than one
+  /// shard while the dense sweep is active (the oracles compose with the
+  /// event core, not with each other).
   void set_shards(int shards);
-  /// Configured shard count; 0 when the serial engine is active.
+  /// Configured shard count, at least 1.
   [[nodiscard]] int shards() const noexcept {
-    return sharded_ ? static_cast<int>(shard_ctx_.size()) : 0;
+    return static_cast<int>(shard_ctx_.size());
   }
 
   /// Scheduler introspection: how many components the event-driven core will
@@ -253,7 +245,7 @@ class Network {
 
   // --- snapshot hooks ------------------------------------------------------
   /// Serializes every bit of dynamic state that influences future evolution:
-  /// cycle counter, RNG position, counters, per-channel arbitration cursors
+  /// cycle counter, counters, per-channel arbitration cursors
   /// and fault flags, every VC (ownership, routing linkage, buffered flits),
   /// the full message table, source queues, active list and the pending-header
   /// rotation order. save_state → restore_state on a Network built from the
@@ -263,7 +255,8 @@ class Network {
   /// constructed from the same SimConfig (same topology/VC shape); throws
   /// std::runtime_error on any structural mismatch or corrupt encoding.
   /// `version` is the snapshot container version the payload was written
-  /// under; pre-v3 payloads carry no message classes (all restore as Bulk).
+  /// under; pre-v3 payloads carry no message classes (all restore as Bulk),
+  /// and pre-v4 payloads carry three generator words that are skipped.
   void restore_state(BinReader& in,
                      std::uint32_t version = kStateFormatVersion);
 
@@ -291,9 +284,6 @@ class Network {
   void inject_link_faults();
   [[nodiscard]] bool network_strongly_connected() const;
 
-  // The serial engine's same-cycle transmit sweep over its single shard.
-  void transmit_phase();
-  void transmit_channel(PhysChannel& pc, ShardCtx& ctx);
   /// Superset condition keeping a channel scheduled: some owned VC could
   /// move a flit now or next cycle (flit age is deliberately ignored — a
   /// flit that arrived this cycle becomes movable on the next one).
@@ -335,11 +325,20 @@ class Network {
   void acquire_vc(Message& msg, VcState& from, VcState& target,
                   std::uint64_t trace_key, ShardCtx& ctx);
   void commit_route();
-  // The sharded engine's transmit: decide/pop/push against cycle-start state.
-  void transmit_phase_sharded();
+  // Transmit against transmit-start state: one sweep with one shard,
+  // decide/pop/push with more.
+  void transmit_phase();
+  void transmit_sweep(ShardCtx& ctx);
+  void transmit_channel(PhysChannel& pc, ShardCtx& ctx);
+  /// Fills `move` with `pc`'s round-robin winner; false when no VC can move.
+  [[nodiscard]] bool decide_move(const PhysChannel& pc, ShardMove& move) const;
   void transmit_decide_shard(ShardCtx& ctx);
   void transmit_pop_shard(ShardCtx& ctx);
   void transmit_push_shard(ShardCtx& ctx);
+  void push_move(const ShardMove& move, ShardCtx& ctx);
+  /// Schedules `ch` for transmit from a push: directly when `ctx` owns it,
+  /// through the outbox otherwise.
+  void wake_from_transmit(ChannelId ch, ShardCtx& ctx);
   void commit_transmit();
   /// Buffers a trace event (no-op without a tracer); emitted at phase commit
   /// in ascending key order.
@@ -368,7 +367,6 @@ class Network {
   std::shared_ptr<const Topology> topo_;
   std::unique_ptr<RoutingAlgorithm> routing_;
   std::unique_ptr<SelectionPolicy> selection_;
-  Pcg32 rng_;
 
   std::vector<PhysChannel> phys_;  // network channels, then injection, then ejection
   std::vector<VcState> vcs_;
@@ -392,15 +390,12 @@ class Network {
   NetworkHooks hooks_;
   bool step_dense_ = false;
 
-  // Shard state (set_shards; the serial engine is one shard). The per-shard
-  // active sets are never serialized and are rebuilt on restore. Invariants,
+  // Shard state (set_shards; the default is one shard). The per-shard active
+  // sets are never serialized and are rebuilt on restore. Invariants,
   // maintained in every step mode, over the union of the shards' sets:
   //   src_active   == nodes with a non-empty source queue (exact);
   //   eject_active ⊇ nodes with any buffered flit in an ejection VC;
   //   chan_active  ⊇ channels with transmit_work_possible().
-  // `sharded_` selects the semantics in exactly two places: transmit and the
-  // selection RNG in header routing.
-  bool sharded_ = false;
   ShardPlan shard_plan_;
   std::vector<std::int32_t> shard_chan_;  // channel id -> owning shard
   std::vector<ShardCtx> shard_ctx_;

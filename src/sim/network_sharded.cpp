@@ -1,15 +1,14 @@
 // The shard-structured step workers (DESIGN.md §3j), shared by every step
-// mode: the serial engine is one shard stepped inline, the sharded engine N
-// shards on the WorkerPool, and the dense oracle the serial engine with every
-// component scheduled.
+// mode: the default engine is one shard stepped inline, `--shards N` runs N
+// shards on the WorkerPool, and the dense oracle is the one-shard engine with
+// every component scheduled.
 //
 // Each phase runs as per-shard workers over the per-shard active sets,
 // separated by pool barriers, with every ordered side effect buffered in the
 // worker's ShardCtx and folded into global state by a single-threaded commit
 // in canonical component order. The result is byte-identical across ALL
-// shard counts: the 1-shard run is the oracle and `--shards 8` must reproduce
-// it bit for bit (state, traces, counters, snapshots, telemetry, metrics
-// streams).
+// shard counts and step modes (state, traces, counters, snapshots,
+// telemetry, metrics streams).
 //
 // Ownership discipline (the whole correctness argument, verified by TSan):
 //  * a shard owns its nodes' queues/ejection interfaces and every physical
@@ -18,21 +17,19 @@
 //    channels out of the header's current router, which the router's shard
 //    owns (the one cross-shard write, `from.route_out` in acquire, targets
 //    the header's own VC, which no other shard touches this phase);
-//  * transmit is split decide/pop/push: T1 is read-only against cycle-start
-//    state, T2 performs the pops (each VC has a unique downstream mover),
-//    T3 performs the pushes (each VC is pushed only by its own channel), so
-//    no FlitFifo is ever touched by two threads in the same sub-phase.
+//  * with two or more shards transmit is split decide/pop/push: T1 is
+//    read-only against transmit-start state, T2 performs the pops (each VC
+//    has a unique downstream mover), T3 performs the pushes (each VC is
+//    pushed only by its own channel), so no FlitFifo is ever touched by two
+//    threads in the same sub-phase. One shard fuses the three into a single
+//    ascending sweep that reaches the same decisions (transmit_sweep).
 //
-// The serial and sharded engines differ in exactly two places, each one
-// branch on `sharded_`. Transmit: the serial engine runs its same-cycle sweep
-// (transmit_phase in network.cpp), whose compaction chaining along ascending
-// channel ids cannot be parallelized without serializing the sweep; sharded
-// transmit decides against cycle-start buffer occupancy (a one-cycle
-// credit-return delay). Selection: the serial engine draws from the shared
-// generator, whose draw order is exactly the serial visit order; sharded
-// selection shuffles with a per-(message, cycle) hash stream. Neither
-// sharded semantic depends on the shard count, which is what the
-// byte-equality suite asserts.
+// Two rules make the semantics independent of shard count and visit order.
+// Transmit grants buffer space against the occupancy a VC had when transmit
+// began, so a freed slot is refilled one cycle later (a one-cycle credit
+// return) whatever the channel numbering. Adaptive selection shuffles with a
+// per-(message, cycle) hash stream, so no header's draw depends on how many
+// headers drew before it.
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
@@ -44,6 +41,7 @@
 #include "telemetry/heatmap.hpp"
 #include "telemetry/profiler.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace flexnet {
 
@@ -58,16 +56,16 @@ void Network::set_shards(int shards) {
     throw std::invalid_argument("shard count exceeds node count (" +
                                 std::to_string(topo_->num_nodes()) + ")");
   }
-  if (shards > 0 && step_dense_) {
+  if (shards > 1 && step_dense_) {
     throw std::invalid_argument(
-        "sharded stepping cannot combine with the dense sweep oracle");
+        "more than one shard cannot combine with the dense sweep oracle");
   }
   // Fold the per-shard epoch terms into the base counter so arc_epoch()
   // stays monotonic across resharding.
   arc_epoch_ = arc_epoch();
   pool_.reset();
 
-  // The serial engine (0) is one shard, stepped inline by a one-party pool.
+  // 0 means 1: one shard, stepped inline by a one-party pool.
   shard_plan_ = make_shard_plan(*topo_, std::max(shards, 1));
   shard_chan_.resize(phys_.size());
   for (const PhysChannel& pc : phys_) {
@@ -88,7 +86,6 @@ void Network::set_shards(int shards) {
   }
   merge_cursor_.assign(shard_ctx_.size(), 0);
   pool_ = std::make_unique<WorkerPool>(shard_ctx_.size());
-  sharded_ = shards > 0;
   rebuild_active_sets();
 }
 
@@ -223,7 +220,7 @@ void Network::commit_deliver() {
   for (const ShardCtx& ctx : shard_ctx_) {
     counters_.flits_delivered += ctx.flits_delivered;
   }
-  // Merge by node id — the order the serial sweep visits reception
+  // Merge by node id — the order the one-shard sweep visits reception
   // interfaces — emitting the flit trace and running tail completions (which
   // touch the active list, delivered counters, obs hook and base epoch) on
   // this thread.
@@ -374,19 +371,12 @@ bool Network::try_route_header(VcId head_vc, std::uint32_t scan_index,
   if (ctx.scratch_channels.size() > 1) {
     // A one-channel list is left as is and draws nothing (the
     // SelectionPolicy::order contract), so only longer lists are ordered.
-    if (sharded_) {
-      // Sharded selection draws from a per-(message, cycle) hash stream: the
-      // serial engine's shared generator encodes the serial visit order in
-      // its draw sequence, which no parallel schedule can reproduce. This
-      // stream is a pure function of (seed, message, cycle), so every shard
-      // count agrees.
-      Pcg32 rng(config_.seed ^ (0x9e3779b97f4a7c15ULL *
-                                (static_cast<std::uint64_t>(msg.id) + 1)),
-                static_cast<std::uint64_t>(now_));
-      selection_->order(*this, msg, v.id, ctx.scratch_channels, rng);
-    } else {
-      selection_->order(*this, msg, v.id, ctx.scratch_channels, rng_);
-    }
+    // The stream is a pure function of (seed, message, cycle): no shard
+    // schedule or visit order can change a draw.
+    Pcg32 rng(config_.seed ^ (0x9e3779b97f4a7c15ULL *
+                              (static_cast<std::uint64_t>(msg.id) + 1)),
+              static_cast<std::uint64_t>(now_));
+    selection_->order(*this, msg, v.id, ctx.scratch_channels, rng);
   }
 
   ctx.scratch_vcs.clear();
@@ -489,7 +479,7 @@ void Network::acquire_vc(Message& msg, VcState& from, VcState& target,
 }
 
 void Network::commit_route() {
-  // Injection grants join the active list in source-node order (the serial
+  // Injection grants join the active list in source-node order (the one-shard
   // grant sweep's order); each shard's grant list is already node-ordered.
   merge_shards(
       &ShardCtx::grants,
@@ -519,124 +509,125 @@ void Network::commit_route() {
 
 // --- transmit --------------------------------------------------------------
 
-void Network::transmit_phase_sharded() {
+void Network::transmit_phase() {
+  if (shard_ctx_.size() == 1) {
+    transmit_sweep(shard_ctx_.front());
+    return;
+  }
   pool_->run([this](std::size_t s) { transmit_decide_shard(shard_ctx_[s]); });
   pool_->run([this](std::size_t s) { transmit_pop_shard(shard_ctx_[s]); });
   pool_->run([this](std::size_t s) { transmit_push_shard(shard_ctx_[s]); });
   commit_transmit();
 }
 
-void Network::transmit_decide_shard(ShardCtx& ctx) {
-  ctx.moves.clear();
-  ctx.pending_adds.clear();
-  ctx.wake_outbox.clear();
-  ctx.trace_buf.clear();
-  // Read-only against phase-start state (the only mutation is descheduling
-  // our own channels, which touches no VC). Every decision — including the
-  // round-robin winner and the deschedule verdict — is therefore a pure
-  // function of committed state, independent of shard count and of other
-  // shards' concurrent decisions.
+bool Network::decide_move(const PhysChannel& pc, ShardMove& move) const {
+  // Runs before any pop of this transmit phase, so full() is the
+  // transmit-start occupancy.
+  for (int j = 0; j < pc.num_vcs; ++j) {
+    int idx = pc.rr_cursor + j;
+    if (idx >= pc.num_vcs) idx -= pc.num_vcs;
+    const VcState& w = vcs_[static_cast<std::size_t>(pc.first_vc + idx)];
+    if (w.is_free() || w.buffer.full()) continue;
+    if (pc.kind == ChannelKind::Injection) {
+      const Message& msg = messages_[static_cast<std::size_t>(w.owner)];
+      if (msg.flits_sent >= msg.length) continue;
+      move.upstream = kInvalidVc;  // the flit is synthesized from the source
+    } else {
+      // Network and ejection channels pull from the feeding upstream VC.
+      if (w.route_in == kInvalidVc) continue;
+      const VcState& u = vcs_[static_cast<std::size_t>(w.route_in)];
+      if (u.buffer.empty() || u.buffer.front().arrived >= now_) continue;
+      move.upstream = u.id;
+    }
+    move.channel = pc.id;
+    move.dst_vc = w.id;
+    move.rr_index = idx;
+    return true;
+  }
+  return false;
+}
+
+// The one-shard transmit: one ascending sweep that decides, pops and pushes
+// channel by channel, without the three barrier-separated passes. It reaches
+// exactly the decisions decide/pop/push reaches, because every input of a
+// channel's decision still has its transmit-start value when the sweep gets
+// there:
+//  * a VC is popped during transmit only by its single downstream channel
+//    (route_out is unique), at most once; only its own channel pushes into
+//    it, and that channel reads the stamp before it pushes, so size() plus
+//    the popped-this-phase stamp is its transmit-start occupancy;
+//  * the upstream side needs no stamp: a flit pushed this phase has
+//    arrived == now_, which the decision refuses, and only this channel
+//    pops that VC;
+//  * ownership and route links change in transmit only when a tail leaves,
+//    and a VC whose tail already arrived has no route_in to pull through;
+//  * deliver's ejection pops happen before transmit, so both paths see them.
+// A channel woken ahead of the cursor is visited in the same sweep, finds no
+// move (it had no work when transmit began) and is re-checked next cycle, so
+// the wakeup sets stay the supersets decide/pop/push keeps. The sweep is
+// written out in one function rather than through decide_move and
+// push_move: it is the hottest loop of transmit-bound runs, and the
+// call-per-step form measured ~15% slower end to end on a 32k-router run.
+void Network::transmit_sweep(ShardCtx& ctx) {
   for (std::int32_t ch = ctx.chan_active.first(); ch != -1;
        ch = ctx.chan_active.next_after(ch)) {
-    const PhysChannel& pc = phys_[static_cast<std::size_t>(ch)];
-    bool moved = false;
-    if (pc.kind == ChannelKind::Injection) {
-      for (int j = 0; j < pc.num_vcs; ++j) {
-        int idx = pc.rr_cursor + j;
-        if (idx >= pc.num_vcs) idx -= pc.num_vcs;
-        const VcState& w = vcs_[static_cast<std::size_t>(pc.first_vc + idx)];
-        if (w.is_free() || w.buffer.full()) continue;
-        const Message& msg = messages_[static_cast<std::size_t>(w.owner)];
-        if (msg.flits_sent >= msg.length) continue;
-        ShardMove move;
-        move.channel = pc.id;
-        move.dst_vc = w.id;
-        move.upstream = kInvalidVc;
-        move.rr_index = idx;
-        ctx.moves.push_back(move);
-        moved = true;
-        break;
-      }
-    } else {
-      for (int j = 0; j < pc.num_vcs; ++j) {
-        int idx = pc.rr_cursor + j;
-        if (idx >= pc.num_vcs) idx -= pc.num_vcs;
-        const VcState& w = vcs_[static_cast<std::size_t>(pc.first_vc + idx)];
-        if (w.is_free() || w.route_in == kInvalidVc || w.buffer.full()) {
-          continue;
-        }
-        const VcState& u = vcs_[static_cast<std::size_t>(w.route_in)];
-        if (u.buffer.empty() || u.buffer.front().arrived >= now_) continue;
-        ShardMove move;
-        move.channel = pc.id;
-        move.dst_vc = w.id;
-        move.upstream = u.id;
-        move.rr_index = idx;
-        ctx.moves.push_back(move);
-        moved = true;
-        break;
-      }
-    }
-    if (!moved && !transmit_work_possible(pc)) ctx.chan_active.erase(ch);
+    transmit_channel(phys_[static_cast<std::size_t>(ch)], ctx);
   }
 }
 
-void Network::transmit_pop_shard(ShardCtx& ctx) {
-  // Each VC has exactly one downstream mover (route_out is unique), so these
-  // pops — possibly of other shards' VCs — never collide; pushes wait for
-  // the next barrier so no FlitFifo sees a pop and a push concurrently.
-  for (ShardMove& move : ctx.moves) {
-    if (move.upstream == kInvalidVc) continue;
-    VcState& u = vcs_[static_cast<std::size_t>(move.upstream)];
-    move.flit = u.buffer.pop();
-    assert(move.flit.message ==
-           vcs_[static_cast<std::size_t>(move.dst_vc)].owner);
-  }
-}
-
-void Network::transmit_push_shard(ShardCtx& ctx) {
-  for (const ShardMove& move : ctx.moves) {
-    PhysChannel& pc = phys_[static_cast<std::size_t>(move.channel)];
-    VcState& w = vcs_[static_cast<std::size_t>(move.dst_vc)];
-    const auto key = static_cast<std::uint64_t>(pc.id);
-    if (pc.kind == ChannelKind::Injection) {
+void Network::transmit_channel(PhysChannel& pc, ShardCtx& ctx) {
+  bool moved = false;
+  if (pc.kind == ChannelKind::Injection) {
+    for (int j = 0; j < pc.num_vcs; ++j) {
+      int idx = pc.rr_cursor + j;
+      if (idx >= pc.num_vcs) idx -= pc.num_vcs;
+      VcState& w = vcs_[static_cast<std::size_t>(pc.first_vc + idx)];
+      if (w.is_free() || w.full_at_transmit_start(now_)) continue;
       Message& msg = messages_[static_cast<std::size_t>(w.owner)];
+      if (msg.flits_sent >= msg.length) continue;
       Flit flit;
       flit.message = msg.id;
       flit.seq = msg.flits_sent++;
       flit.arrived = now_;
       w.buffer.push(flit);
-      if (flit.is_head()) {
-        ShardPendingAdd add;
-        add.channel = pc.id;
-        add.vc = w.id;
-        ctx.pending_adds.push_back(add);
-      }
+      if (flit.is_head()) pending_.push_back(w.id);
       if (w.route_out != kInvalidVc) {
-        // A routed head is already downstream; its channel leaves this node,
-        // so it is ours to wake directly.
+        // A routed head is already downstream; feed its channel.
         ctx.chan_active.insert(
             vcs_[static_cast<std::size_t>(w.route_out)].channel);
       }
       if (hooks_.heatmap != nullptr) hooks_.heatmap->on_traversal(pc.id, w.id);
       if (hooks_.tracer != nullptr) {
-        trace_buffered(ctx, key, TraceEventKind::FlitInjected, msg.id, w.id,
-                       kInvalidVc, flit.seq);
+        trace(TraceEventKind::FlitInjected, msg.id, w.id, kInvalidVc,
+              flit.seq);
       }
-      pc.rr_cursor = move.rr_index + 1 == pc.num_vcs ? 0 : move.rr_index + 1;
+      pc.rr_cursor = idx + 1 == pc.num_vcs ? 0 : idx + 1;
+      moved = true;
+      break;
+    }
+    // A channel that just moved a flit stays scheduled (it is revisited and
+    // re-checked next cycle anyway); only a fruitless visit pays the full
+    // work scan to decide whether to deschedule.
+    if (!moved && !transmit_work_possible(pc)) ctx.chan_active.erase(pc.id);
+    return;
+  }
+
+  // Network and ejection channels pull from the feeding upstream VC.
+  for (int j = 0; j < pc.num_vcs; ++j) {
+    int idx = pc.rr_cursor + j;
+    if (idx >= pc.num_vcs) idx -= pc.num_vcs;
+    VcState& w = vcs_[static_cast<std::size_t>(pc.first_vc + idx)];
+    if (w.is_free() || w.route_in == kInvalidVc ||
+        w.full_at_transmit_start(now_)) {
       continue;
     }
-
-    Flit flit = move.flit;
-    VcState& u = vcs_[static_cast<std::size_t>(move.upstream)];
+    VcState& u = vcs_[static_cast<std::size_t>(w.route_in)];
+    if (u.buffer.empty() || u.buffer.front().arrived >= now_) continue;
+    u.popped_at = now_;
+    Flit flit = u.buffer.pop();
+    assert(flit.message == w.owner);
+    ctx.chan_active.insert(u.channel);  // freed buffer space upstream
     Message& msg = messages_[static_cast<std::size_t>(flit.message)];
-    // Freed buffer space upstream: wake the feeding channel (often another
-    // shard's — route through the outbox).
-    if (shard_of_channel(u.channel) == ctx.shard) {
-      ctx.chan_active.insert(u.channel);
-    } else {
-      ctx.wake_outbox.push_back(u.channel);
-    }
     const bool tail_left_upstream = flit.is_tail_of(msg.length);
     if (tail_left_upstream) {
       assert(!msg.held.empty() && msg.held.front() == u.id);
@@ -650,34 +641,144 @@ void Network::transmit_push_shard(ShardCtx& ctx) {
     if (pc.kind == ChannelKind::Ejection) {
       ctx.eject_active.insert(pc.dst);  // the reception interface has work
     } else if (w.route_out != kInvalidVc) {
-      const ChannelId next =
-          vcs_[static_cast<std::size_t>(w.route_out)].channel;
-      if (shard_of_channel(next) == ctx.shard) {
-        ctx.chan_active.insert(next);
-      } else {
-        ctx.wake_outbox.push_back(next);
-      }
+      ctx.chan_active.insert(
+          vcs_[static_cast<std::size_t>(w.route_out)].channel);
     }
     if (hooks_.heatmap != nullptr) hooks_.heatmap->on_traversal(pc.id, w.id);
     if (hooks_.tracer != nullptr) {
-      trace_buffered(ctx, key, TraceEventKind::FlitHopped, msg.id, w.id, u.id,
-                     flit.seq);
+      trace(TraceEventKind::FlitHopped, msg.id, w.id, u.id, flit.seq);
       if (tail_left_upstream) {
-        trace_buffered(ctx, key, TraceEventKind::VcFreed, msg.id, u.id);
+        trace(TraceEventKind::VcFreed, msg.id, u.id);
       }
     }
     if (flit.is_head() && pc.kind != ChannelKind::Ejection) {
+      pending_.push_back(w.id);
+    }
+    pc.rr_cursor = idx + 1 == pc.num_vcs ? 0 : idx + 1;
+    moved = true;
+    break;  // one flit per physical channel per cycle
+  }
+  if (!moved && !transmit_work_possible(pc)) ctx.chan_active.erase(pc.id);
+}
+
+void Network::transmit_decide_shard(ShardCtx& ctx) {
+  ctx.moves.clear();
+  ctx.pending_adds.clear();
+  ctx.wake_outbox.clear();
+  ctx.trace_buf.clear();
+  // Read-only against transmit-start state (the only mutation is
+  // descheduling our own channels, which touches no VC). Every decision —
+  // including the round-robin winner and the deschedule verdict — is
+  // therefore a pure function of committed state, independent of shard count
+  // and of other shards' concurrent decisions.
+  ShardMove move;
+  for (std::int32_t ch = ctx.chan_active.first(); ch != -1;
+       ch = ctx.chan_active.next_after(ch)) {
+    const PhysChannel& pc = phys_[static_cast<std::size_t>(ch)];
+    if (decide_move(pc, move)) {
+      ctx.moves.push_back(move);
+    } else if (!transmit_work_possible(pc)) {
+      ctx.chan_active.erase(ch);
+    }
+  }
+}
+
+void Network::transmit_pop_shard(ShardCtx& ctx) {
+  // Each VC has exactly one downstream mover (route_out is unique), so these
+  // pops — possibly of other shards' VCs — never collide; pushes wait for
+  // the next barrier so no FlitFifo sees a pop and a push concurrently.
+  for (ShardMove& move : ctx.moves) {
+    if (move.upstream == kInvalidVc) continue;
+    move.flit = vcs_[static_cast<std::size_t>(move.upstream)].buffer.pop();
+    assert(move.flit.message ==
+           vcs_[static_cast<std::size_t>(move.dst_vc)].owner);
+  }
+}
+
+void Network::transmit_push_shard(ShardCtx& ctx) {
+  for (const ShardMove& move : ctx.moves) push_move(move, ctx);
+}
+
+void Network::wake_from_transmit(ChannelId ch, ShardCtx& ctx) {
+  if (shard_of_channel(ch) == ctx.shard) {
+    ctx.chan_active.insert(ch);
+  } else {
+    ctx.wake_outbox.push_back(ch);  // drained into its owner at commit
+  }
+}
+
+void Network::push_move(const ShardMove& move, ShardCtx& ctx) {
+  PhysChannel& pc = phys_[static_cast<std::size_t>(move.channel)];
+  VcState& w = vcs_[static_cast<std::size_t>(move.dst_vc)];
+  const auto key = static_cast<std::uint64_t>(pc.id);
+  pc.rr_cursor = move.rr_index + 1 == pc.num_vcs ? 0 : move.rr_index + 1;
+  if (pc.kind == ChannelKind::Injection) {
+    Message& msg = messages_[static_cast<std::size_t>(w.owner)];
+    Flit flit;
+    flit.message = msg.id;
+    flit.seq = msg.flits_sent++;
+    flit.arrived = now_;
+    w.buffer.push(flit);
+    if (flit.is_head()) {
       ShardPendingAdd add;
       add.channel = pc.id;
       add.vc = w.id;
       ctx.pending_adds.push_back(add);
     }
-    pc.rr_cursor = move.rr_index + 1 == pc.num_vcs ? 0 : move.rr_index + 1;
+    if (w.route_out != kInvalidVc) {
+      // A routed head is already downstream; its channel leaves this node,
+      // so it is ours to wake directly.
+      ctx.chan_active.insert(
+          vcs_[static_cast<std::size_t>(w.route_out)].channel);
+    }
+    if (hooks_.heatmap != nullptr) hooks_.heatmap->on_traversal(pc.id, w.id);
+    if (hooks_.tracer != nullptr) {
+      trace_buffered(ctx, key, TraceEventKind::FlitInjected, msg.id, w.id,
+                     kInvalidVc, flit.seq);
+    }
+    return;
+  }
+
+  Flit flit = move.flit;
+  VcState& u = vcs_[static_cast<std::size_t>(move.upstream)];
+  Message& msg = messages_[static_cast<std::size_t>(flit.message)];
+  // Freed buffer space upstream: wake the feeding channel (often another
+  // shard's).
+  wake_from_transmit(u.channel, ctx);
+  const bool tail_left_upstream = flit.is_tail_of(msg.length);
+  if (tail_left_upstream) {
+    assert(!msg.held.empty() && msg.held.front() == u.id);
+    msg.held.erase(msg.held.begin());
+    u.release();
+    w.route_in = kInvalidVc;  // no further flits arrive from upstream
+    ++ctx.epoch;  // oldest solid arc retired, VC ownership vacated
+  }
+  flit.arrived = now_;
+  w.buffer.push(flit);
+  if (pc.kind == ChannelKind::Ejection) {
+    ctx.eject_active.insert(pc.dst);  // the reception interface has work
+  } else if (w.route_out != kInvalidVc) {
+    wake_from_transmit(vcs_[static_cast<std::size_t>(w.route_out)].channel,
+                       ctx);
+  }
+  if (hooks_.heatmap != nullptr) hooks_.heatmap->on_traversal(pc.id, w.id);
+  if (hooks_.tracer != nullptr) {
+    trace_buffered(ctx, key, TraceEventKind::FlitHopped, msg.id, w.id, u.id,
+                   flit.seq);
+    if (tail_left_upstream) {
+      trace_buffered(ctx, key, TraceEventKind::VcFreed, msg.id, u.id);
+    }
+  }
+  if (flit.is_head() && pc.kind != ChannelKind::Ejection) {
+    ShardPendingAdd add;
+    add.channel = pc.id;
+    add.vc = w.id;
+    ctx.pending_adds.push_back(add);
   }
 }
 
 void Network::commit_transmit() {
-  // New unrouted heads join pending_ in channel-id order (the serial
+  // New unrouted heads join pending_ in channel-id order (the one-shard
   // transmit visit order), after the route phase's rotated rebuild.
   merge_shards(
       &ShardCtx::pending_adds,

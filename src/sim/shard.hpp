@@ -1,5 +1,5 @@
 // Per-shard state for the shard-structured step workers (DESIGN.md §3j).
-// The serial engine is one shard stepped inline; the sharded engine runs one
+// The default engine is one shard stepped inline; `--shards N` runs one
 // worker thread per shard.
 //
 // Each worker owns one ShardCtx: the shard's slice of the three
@@ -27,7 +27,7 @@ namespace flexnet {
 /// One flit drained from an ejection VC this cycle (deliver phase). At most
 /// one per node per cycle, produced in ascending node order within a shard;
 /// the commit merges shards by node id and runs tail completions in that
-/// order (exactly the serial sweep's order).
+/// order (exactly the one-shard sweep's order).
 struct ShardDelivery {
   NodeId node = kInvalidNode;
   MessageId msg = kInvalidMessage;
@@ -38,15 +38,16 @@ struct ShardDelivery {
 
 /// A route-phase allocation failure: the header stays pending. Tagged with
 /// its position in this cycle's rotated scan so the commit can rebuild
-/// pending_ in exactly the order the serial walk would have.
+/// pending_ in exactly the order the one-shard walk would have.
 struct ShardRouteFailure {
   std::uint32_t scan_index = 0;
   VcId head_vc = kInvalidVc;
 };
 
-/// A transmit move decided in sub-phase T1 against cycle-start state.
-/// `upstream == kInvalidVc` marks an injection move (the flit is synthesized
-/// from the source in T3); otherwise T2 pops `flit` from `upstream`.
+/// A transmit move decided against transmit-start state (sub-phase T1, or
+/// the one-shard sweep). `upstream == kInvalidVc` marks an injection move
+/// (the flit is synthesized from the source at the push); otherwise the pop
+/// takes `flit` from `upstream`.
 struct ShardMove {
   ChannelId channel = kInvalidChannel;
   VcId dst_vc = kInvalidVc;
@@ -64,7 +65,7 @@ struct ShardTraceRecord {
 };
 
 /// A head flit that entered a new VC this cycle and must join pending_.
-/// Keyed by channel id (the serial transmit visit order; at most one per
+/// Keyed by channel id (the transmit sweep's visit order; at most one per
 /// channel per cycle).
 struct ShardPendingAdd {
   ChannelId channel = kInvalidChannel;

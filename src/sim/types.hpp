@@ -19,7 +19,7 @@ using Cycle = std::int64_t;      ///< Simulation time in cycles.
 /// container, Network message/counter layout, detector tallies, obs
 /// histograms). Bump together with kSnapshotVersion; component restore
 /// functions take the container's version so old snapshots keep loading.
-inline constexpr std::uint32_t kStateFormatVersion = 3;
+inline constexpr std::uint32_t kStateFormatVersion = 4;
 
 inline constexpr NodeId kInvalidNode = -1;
 inline constexpr ChannelId kInvalidChannel = -1;

@@ -2,7 +2,7 @@
 //
 // A snapshot file is
 //
-//   magic "flexnet-snap" (12 bytes) | u32 version (=3) | sections...
+//   magic "flexnet-snap" (12 bytes) | u32 version (=4) | sections...
 //
 // where each section is framed as `u32 id | u64 length | payload`, so readers
 // can skip sections they do not understand and inspectors can decode the meta
@@ -28,9 +28,10 @@
 // and embed the topology; v3 adds the workload section, a per-message class
 // byte and per-class counters to the network payload, per-class deadlock
 // participation to the detector payload, and per-class latency histograms
-// to the obs payload. Readers accept all three; older files decode with
-// Bernoulli/Bulk defaults, so every pre-existing capture keeps restoring
-// bit-identically.
+// to the obs payload; v4 drops the network payload's three generator words
+// (adaptive selection draws from a per-(message, cycle) stream). Readers
+// accept all four; older files decode with Bernoulli/Bulk defaults and skip
+// the generator words, so every pre-existing capture keeps restoring.
 //
 // The round-trip guarantee: restore_snapshot() on a capture of a live
 // simulation produces components whose subsequent evolution is flit-for-flit
@@ -55,7 +56,7 @@ class InjectionProcess;
 class Network;
 
 inline constexpr char kSnapshotMagic[] = "flexnet-snap";  // 12 chars + NUL
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 static_assert(kSnapshotVersion == kStateFormatVersion,
               "container and component codecs version together");
 /// Oldest version decode_snapshot still reads.

@@ -214,7 +214,7 @@ void SpatialHeatmap::write_csv(std::ostream& out, const Network& net) const {
              std::string(kind_name(pc.kind)), TableWriter::integer(pc.src),
              TableWriter::integer(pc.dst), TableWriter::integer(pc.dim),
              TableWriter::integer(pc.dir), TableWriter::integer(vc.channel),
-             TableWriter::integer(vc.index),
+             TableWriter::integer(vc.id - pc.first_vc),
              TableWriter::integer(vc_traversals_[v]),
              TableWriter::integer(vc_busy_[v]),
              TableWriter::integer(vc_blocked_[v]), ""});

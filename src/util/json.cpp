@@ -337,6 +337,7 @@ class Parser {
       pos_ = start;
       fail("malformed number");
     }
+    v.number_text = token;
     return v;
   }
 
@@ -348,6 +349,32 @@ class Parser {
 
 JsonValue JsonValue::parse(std::string_view text) {
   return Parser(text).parse_document();
+}
+
+namespace {
+template <typename Int>
+Int exact_integer(const JsonValue& v) {
+  if (!v.is_number()) throw std::runtime_error("JSON value is not a number");
+  const std::string& text = v.number_text;
+  Int out{};
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), out);
+  if (ec == std::errc::result_out_of_range) {
+    throw std::runtime_error("JSON integer out of range: " + text);
+  }
+  if (ec != std::errc{} || end != text.data() + text.size()) {
+    throw std::runtime_error("JSON number is not an integer: " + text);
+  }
+  return out;
+}
+}  // namespace
+
+std::int64_t JsonValue::as_int() const {
+  return exact_integer<std::int64_t>(*this);
+}
+
+std::uint64_t JsonValue::as_uint() const {
+  return exact_integer<std::uint64_t>(*this);
 }
 
 const JsonValue* JsonValue::find(std::string_view name) const noexcept {

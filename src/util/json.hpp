@@ -6,8 +6,9 @@
 //    manifest's determinism guarantee rests on.
 //  * JsonValue  — a small recursive-descent parser for reading manifests
 //    back (tools/telemetry_dump, round-trip tests). Object member order is
-//    preserved. Numbers are held as doubles; integer fidelity holds up to
-//    2^53, far beyond any simulator counter.
+//    preserved. Numbers are held as doubles plus their source text, so
+//    integers read back exactly at full 64-bit width (seeds are full-range
+//    splitmix64 values).
 #pragma once
 
 #include <cstdint>
@@ -74,6 +75,7 @@ struct JsonValue {
   Type type = Type::Null;
   bool boolean = false;
   double number = 0.0;
+  std::string number_text;  ///< A number's source text.
   std::string string;
   std::vector<JsonValue> array;
   /// Members in document order.
@@ -93,10 +95,11 @@ struct JsonValue {
   /// find() that throws std::runtime_error when the member is missing.
   [[nodiscard]] const JsonValue& at(std::string_view name) const;
 
-  /// number as int64 (truncating); 0 for non-numbers.
-  [[nodiscard]] std::int64_t as_int() const noexcept {
-    return static_cast<std::int64_t>(number);
-  }
+  /// The number read exactly from its source text. Throws
+  /// std::runtime_error for a non-number, a fraction or exponent, or a value
+  /// out of the type's range.
+  [[nodiscard]] std::int64_t as_int() const;
+  [[nodiscard]] std::uint64_t as_uint() const;
 };
 
 }  // namespace flexnet

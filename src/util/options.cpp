@@ -42,7 +42,7 @@ std::optional<Options> Options::parse(int argc, const char* const* argv,
       opts.values_[std::string(body)] = argv[i + 1];
       ++i;
     } else {
-      opts.values_[std::string(body)] = "true";
+      opts.values_[std::string(body)] = std::nullopt;
     }
   }
   return opts;
@@ -52,15 +52,25 @@ bool Options::has(std::string_view name) const {
   return values_.find(name) != values_.end();
 }
 
-std::string Options::get(std::string_view name, std::string def) const {
+const std::string* Options::value_of(std::string_view name) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? std::move(def) : it->second;
+  if (it == values_.end()) return nullptr;
+  if (!it->second) {
+    throw std::invalid_argument("option --" + std::string(name) +
+                                " expects a value");
+  }
+  return &*it->second;
+}
+
+std::string Options::get(std::string_view name, std::string def) const {
+  const std::string* v = value_of(name);
+  return v == nullptr ? std::move(def) : *v;
 }
 
 long long Options::get_int(std::string_view name, long long def) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  const std::string& v = it->second;
+  const std::string* found = value_of(name);
+  if (found == nullptr) return def;
+  const std::string& v = *found;
   long long value = 0;
   const char* first = v.c_str();
   if (*first == '+') ++first;  // from_chars rejects an explicit plus sign
@@ -75,9 +85,9 @@ long long Options::get_int(std::string_view name, long long def) const {
 }
 
 double Options::get_double(std::string_view name, double def) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) return def;
-  const std::string& v = it->second;
+  const std::string* found = value_of(name);
+  if (found == nullptr) return def;
+  const std::string& v = *found;
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(v.c_str(), &end);
@@ -91,8 +101,11 @@ double Options::get_double(std::string_view name, double def) const {
 bool Options::get_bool(std::string_view name, bool def) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return def;
-  const std::string& v = it->second;
-  return v == "1" || v == "true" || v == "yes" || v == "on";
+  if (!it->second) return true;  // bare --flag
+  const std::string& v = *it->second;
+  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
+  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
+  bad_value(name, v, "a boolean (1/0, true/false, yes/no, on/off)");
 }
 
 double bench_scale() {

@@ -1,7 +1,9 @@
 // Minimal command-line option parser for examples and bench binaries.
 //
 // Supports `--name value`, `--name=value` and boolean `--flag` forms; every
-// option declares a default so binaries are runnable with no arguments.
+// option declares a default so binaries are runnable with no arguments. A
+// value that does not fit its getter fails loudly with
+// std::invalid_argument naming the option, never with a silent default.
 #pragma once
 
 #include <map>
@@ -19,6 +21,8 @@ class Options {
                                       std::string* error = nullptr);
 
   [[nodiscard]] bool has(std::string_view name) const;
+  /// The option's value, or `def` when absent. A bare `--name` (no value)
+  /// throws std::invalid_argument: it is a flag, not a path or a word.
   [[nodiscard]] std::string get(std::string_view name,
                                 std::string def = {}) const;
   /// Numeric getters parse the FULL value: trailing garbage ("1e9x"), empty
@@ -26,6 +30,8 @@ class Options {
   /// the option, instead of silently truncating (strtoll's behavior).
   [[nodiscard]] long long get_int(std::string_view name, long long def) const;
   [[nodiscard]] double get_double(std::string_view name, double def) const;
+  /// A bare `--name` is true; a value must be 1/0, true/false, yes/no or
+  /// on/off, and anything else throws std::invalid_argument.
   [[nodiscard]] bool get_bool(std::string_view name, bool def) const;
 
   /// Positional (non --option) arguments in order.
@@ -34,7 +40,12 @@ class Options {
   }
 
  private:
-  std::map<std::string, std::string, std::less<>> values_;
+  /// The value given, or nullptr when the option is absent; throws
+  /// std::invalid_argument when it was given bare.
+  [[nodiscard]] const std::string* value_of(std::string_view name) const;
+
+  /// Each option's value; std::nullopt for a bare `--name`.
+  std::map<std::string, std::optional<std::string>, std::less<>> values_;
   std::vector<std::string> positional_;
 };
 

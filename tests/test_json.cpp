@@ -101,6 +101,37 @@ TEST(JsonValue, ParsesNumbers) {
   EXPECT_DOUBLE_EQ(v.array[3].number, 1e-3);
 }
 
+TEST(JsonValue, IntegersReadBackExactly) {
+  // Point seeds are full 64-bit splitmix64 values: a double holds 53 bits,
+  // and casting one >= 2^63 to int64 is undefined, so telemetry_dump once
+  // printed this seed as 9223372036854775808.
+  const std::uint64_t seed = 10905525725756348110ULL;
+  std::ostringstream out;
+  JsonWriter json(out, 0);
+  json.begin_object();
+  json.field("seed", seed);
+  json.field("low", std::numeric_limits<std::int64_t>::min());
+  json.end_object();
+  const JsonValue doc = JsonValue::parse(out.str());
+  EXPECT_EQ(doc.at("seed").as_uint(), seed);
+  EXPECT_EQ(doc.at("low").as_int(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(JsonValue::parse("-7").as_int(), -7);
+  EXPECT_EQ(JsonValue::parse("18446744073709551615").as_uint(),
+            std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(JsonValue, NonIntegersAndOverflowThrowWhenReadAsIntegers) {
+  EXPECT_THROW((void)JsonValue::parse("1e300").as_int(), std::runtime_error);
+  EXPECT_THROW((void)JsonValue::parse("1e300").as_uint(), std::runtime_error);
+  EXPECT_THROW((void)JsonValue::parse("2.5").as_int(), std::runtime_error);
+  EXPECT_THROW((void)JsonValue::parse("9223372036854775808").as_int(),
+               std::runtime_error);
+  EXPECT_THROW((void)JsonValue::parse("18446744073709551616").as_uint(),
+               std::runtime_error);
+  EXPECT_THROW((void)JsonValue::parse("-1").as_uint(), std::runtime_error);
+  EXPECT_THROW((void)JsonValue::parse("\"12\"").as_int(), std::runtime_error);
+}
+
 TEST(JsonValue, FindAndAt) {
   const JsonValue v = JsonValue::parse(R"({"a":1})");
   EXPECT_NE(v.find("a"), nullptr);

@@ -4,7 +4,7 @@
 // knot's deadlock set is immobile, thousands of further steps — with no
 // injection and no recovery — must leave every member's held chain and
 // sent-flit count unchanged. Checked on every committed corpus capture and on
-// the EXPERIMENTS.md D1 scenario, under serial, dense and 4-shard stepping.
+// the EXPERIMENTS.md D1 scenario, under default, dense and 4-shard stepping.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,11 +27,11 @@
 namespace flexnet {
 namespace {
 
-enum class StepMode { Serial, Dense, Sharded };
+enum class StepMode { Default, Dense, Sharded };
 
 const char* to_string(StepMode mode) {
   switch (mode) {
-    case StepMode::Serial: return "serial";
+    case StepMode::Default: return "default";
     case StepMode::Dense: return "dense";
     case StepMode::Sharded: return "4 shards";
   }
@@ -84,7 +84,7 @@ TEST(KnotFreeze, CommittedCapturesStayFrozen) {
   const std::vector<std::string> files = corpus_files();
   ASSERT_FALSE(files.empty());
   for (const StepMode mode :
-       {StepMode::Serial, StepMode::Dense, StepMode::Sharded}) {
+       {StepMode::Default, StepMode::Dense, StepMode::Sharded}) {
     for (const std::string& path : files) {
       SCOPED_TRACE(path + " / " + to_string(mode));
       const Snapshot snap = read_snapshot_file(path);
@@ -114,7 +114,7 @@ TEST(KnotFreeze, SaturatedDor3KnotStaysFrozen) {
   // quiescent one (every deadlock-set member immobile) must stay frozen for
   // 5,000 cycles with injection stopped while the traffic around it drains.
   for (const StepMode mode :
-       {StepMode::Serial, StepMode::Dense, StepMode::Sharded}) {
+       {StepMode::Default, StepMode::Dense, StepMode::Sharded}) {
     SCOPED_TRACE(to_string(mode));
     ExperimentConfig cfg;
     cfg.sim.routing = RoutingKind::DOR;
@@ -144,11 +144,9 @@ TEST(KnotFreeze, SaturatedDor3KnotStaysFrozen) {
       }
     }
     ASSERT_FALSE(deadlock_set.empty()) << "no quiescent knot formed";
-    if (mode != StepMode::Sharded) {
-      // The serial semantics (dense or event-driven) form it here.
-      EXPECT_EQ(net.now(), 2750);
-      EXPECT_EQ(deadlock_set.size(), 10u);
-    }
+    // Every mode reaches the same state, so every mode forms it here.
+    EXPECT_EQ(net.now(), 3900);
+    EXPECT_EQ(deadlock_set.size(), 10u);
 
     const std::int64_t delivered = net.counters().delivered;
     expect_frozen(net, deadlock_set, 5000);

@@ -50,7 +50,7 @@ TEST(NetworkBasic, VcTableMatchesChannelConfig) {
   for (int i = 0; i < pc.num_vcs; ++i) {
     const VcState& vc = net->vc(pc.first_vc + i);
     EXPECT_EQ(vc.channel, pc.id);
-    EXPECT_EQ(vc.index, i);
+    EXPECT_EQ(vc.id, pc.first_vc + i);
     EXPECT_TRUE(vc.is_free());
     EXPECT_EQ(vc.buffer.capacity(), cfg.buffer_depth);
   }

@@ -204,7 +204,6 @@ IdOffsets find_id_offsets(const std::vector<std::uint8_t>& bytes) {
   IdOffsets o;
   in.skip(8 + 4 + 4);                           // cycle, blocked, faulted
   in.skip(8 * (7 + 4 * kNumMessageClasses));    // counters
-  in.skip(8 * 3);                               // generator
   const std::uint64_t channels = in.u64();
   note(o.rr_cursor);
   in.skip(5 * channels);                        // cursor, fault flag
@@ -304,6 +303,38 @@ TEST(NetworkRestore, RejectsOutOfRangeIds) {
     BinReader in(bad.data(), bad.size());
     EXPECT_THROW(make()->restore_state(in), std::runtime_error);
   }
+}
+
+TEST(NetworkRestore, PreV4PayloadsSkipGeneratorWords) {
+  // v1-v3 network payloads carry three words of a network generator after
+  // the counters; v4 dropped it. An older payload restores to the same state.
+  SimConfig cfg;
+  cfg.topology.k = 4;
+  cfg.topology.n = 1;
+  const auto make = [&cfg] {
+    return std::make_unique<Network>(
+        cfg, NetworkDeps{nullptr, make_routing(cfg),
+                         make_selection(cfg.selection)});
+  };
+  const auto net = make();
+  for (NodeId node = 0; node < 4; ++node) {
+    net->enqueue_message(node, (node + 1) % 4, 8);
+  }
+  for (int i = 0; i < 5; ++i) net->step();
+  BinWriter out;
+  net->save_state(out);
+  const std::vector<std::uint8_t> v4 = out.bytes();
+
+  std::vector<std::uint8_t> v3 = v4;
+  const std::size_t counters_end = 8 + 4 + 4 + 8 * (7 + 4 * kNumMessageClasses);
+  v3.insert(v3.begin() + static_cast<std::ptrdiff_t>(counters_end), 24, 0xab);
+  const auto restored = make();
+  BinReader in(v3.data(), v3.size());
+  restored->restore_state(in, 3);
+  EXPECT_EQ(in.remaining(), 0u);
+  BinWriter again;
+  restored->save_state(again);
+  EXPECT_EQ(again.bytes(), v4);
 }
 
 TEST(DetectorRestore, RejectsOversizedCounts) {

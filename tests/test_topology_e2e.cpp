@@ -46,6 +46,9 @@ TEST(TopologyE2E, IrregularFileSaturateDetectCaptureReplay) {
   std::filesystem::remove_all(dir);
 
   ExperimentConfig cfg = irregular_cfg(RoutingKind::TableMin);
+  // Full load, so the scenario deadlocks on every seed rather than on a seed
+  // that happens to: at load 0.8 a third of seeds 1-12 see no deadlock.
+  cfg.traffic.load = 1.0;
   cfg.snapshot.capture_dir = dir;
   cfg.snapshot.capture_limit = 8;
   const ExperimentResult result = run_experiment(cfg);

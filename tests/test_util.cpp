@@ -92,6 +92,51 @@ TEST(Options, StrictDoubleParsingRejectsGarbageAndOverflow) {
   EXPECT_DOUBLE_EQ(opts->get_double("sci", 0.0), 1e-3);
 }
 
+TEST(Options, BareFlagIsNotAValue) {
+  // A bare --csv once wrote a file named "true": a flag given without a
+  // value is not a path, and reading it as one fails naming the option.
+  const char* argv[] = {"prog", "--csv", "--loads", "0.1", "--count"};
+  const auto opts = Options::parse(5, argv);
+  ASSERT_TRUE(opts.has_value());
+  EXPECT_TRUE(opts->has("csv"));
+  EXPECT_THROW((void)opts->get("csv"), std::invalid_argument);
+  EXPECT_THROW((void)opts->get("count", "fallback"), std::invalid_argument);
+  EXPECT_THROW((void)opts->get_int("count", 0), std::invalid_argument);
+  EXPECT_THROW((void)opts->get_double("count", 0.0), std::invalid_argument);
+  EXPECT_TRUE(opts->get_bool("csv", false));
+  EXPECT_EQ(opts->get("loads"), "0.1");
+  try {
+    (void)opts->get("csv");
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--csv"), std::string::npos);
+  }
+}
+
+TEST(Options, BoolRejectsOtherValues) {
+  // `telemetry_dump a.json --series b.json` once printed a.json's summary
+  // and dropped b.json: "b.json" is not a boolean.
+  const char* argv[] = {"prog",     "a.json",    "--series", "b.json",
+                        "--x=off",  "--y=0",     "--z=false", "--w=yes",
+                        "--v=TRUE", "--u="};
+  const auto opts = Options::parse(10, argv);
+  ASSERT_TRUE(opts.has_value());
+  EXPECT_THROW((void)opts->get_bool("series", false), std::invalid_argument);
+  EXPECT_FALSE(opts->get_bool("x", true));
+  EXPECT_FALSE(opts->get_bool("y", true));
+  EXPECT_FALSE(opts->get_bool("z", true));
+  EXPECT_TRUE(opts->get_bool("w", false));
+  EXPECT_THROW((void)opts->get_bool("v", false), std::invalid_argument);
+  EXPECT_THROW((void)opts->get_bool("u", false), std::invalid_argument);
+  try {
+    (void)opts->get_bool("series", false);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("series"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("b.json"), std::string::npos);
+  }
+}
+
 TEST(Options, RejectsBareDashes) {
   const char* argv[] = {"prog", "--"};
   std::string error;

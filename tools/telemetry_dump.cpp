@@ -26,8 +26,16 @@ double num(const JsonValue& obj, std::string_view name) {
   return member != nullptr ? member->number : 0.0;
 }
 
+// Integers are read exactly from their source text (a double cannot hold a
+// 64-bit seed); a non-integer value fails loudly.
 std::int64_t integer(const JsonValue& obj, std::string_view name) {
-  return static_cast<std::int64_t>(num(obj, name));
+  const JsonValue* member = obj.find(name);
+  return member != nullptr ? member->as_int() : 0;
+}
+
+std::uint64_t unsigned_integer(const JsonValue& obj, std::string_view name) {
+  const JsonValue* member = obj.find(name);
+  return member != nullptr ? member->as_uint() : 0;
 }
 
 std::string str(const JsonValue& obj, std::string_view name) {
@@ -53,7 +61,7 @@ void print_summary(const JsonValue& root) {
               str(sim, "routing").c_str());
   std::printf("traffic   %s @ load %.4f (seed %llu)\n",
               str(traffic, "pattern").c_str(), num(traffic, "load"),
-              static_cast<unsigned long long>(integer(sim, "seed")));
+              static_cast<unsigned long long>(unsigned_integer(sim, "seed")));
   std::printf("result    norm throughput %.4f, accepted %.4f%s\n",
               num(result, "normalized_throughput"),
               num(result, "accepted_ratio"),
@@ -231,8 +239,15 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "argument error: %s\n", error.c_str());
     return 1;
   }
-  if (opts->has("metrics")) {
-    return dump_metrics(opts->get("metrics"));
+  bool series = false;
+  bool hot = false;
+  try {
+    if (opts->has("metrics")) return dump_metrics(opts->get("metrics"));
+    series = opts->get_bool("series", false);
+    hot = opts->get_bool("hot", false);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "argument error: %s\n", e.what());
+    return 1;
   }
   if (opts->positional().empty()) {
     std::fprintf(stderr,
@@ -257,9 +272,9 @@ int main(int argc, char** argv) {
       if (!first) std::printf("\n");
       first = false;
       if (opts->positional().size() > 1) std::printf("== %s ==\n", path.c_str());
-      if (opts->get_bool("series", false)) {
+      if (series) {
         print_series_csv(root);
-      } else if (opts->get_bool("hot", false)) {
+      } else if (hot) {
         print_hot_channels(root);
       } else {
         print_summary(root);
