@@ -112,8 +112,12 @@ def run_point_set(command, flags, loads, seed, workdir, tag):
     argv = ([command[0]] + flags +
             ["--loads", ",".join(f"{x:g}" for x in loads),
              "--seed", str(seed), "--csv", path] + command[1:])
+    # Each child runs its load points on one thread: the pool below already
+    # runs one child per core, and a sweep's results do not depend on its
+    # thread count.
     proc = subprocess.run(argv, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.PIPE, text=True)
+                          stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "FLEXNET_THREADS": "1"})
     if proc.returncode != 0:
         raise RuntimeError(f"{shlex.join(argv)} exited {proc.returncode}: "
                            f"{proc.stderr.strip()}")

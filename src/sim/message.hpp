@@ -42,7 +42,8 @@ struct Message {
 
   /// Currently owned VCs in acquisition order (CWG solid-arc chain).
   std::vector<VcId> held;
-  /// VCs the blocked header could acquire right now (CWG dashed arcs).
+  /// VCs the blocked header could acquire right now (CWG dashed arcs), in
+  /// the routing relation's candidate order.
   std::vector<VcId> request_set;
 
   [[nodiscard]] bool in_network() const noexcept {

@@ -285,6 +285,9 @@ void Network::step() {
 
 void Network::complete_delivery(Message& msg, VcState& eject_vc) {
   assert(msg.held.size() == 1 && msg.held.front() == eject_vc.id);
+  if (watched_[static_cast<std::size_t>(eject_vc.id)] != 0) {
+    wake_requesters(eject_vc.id);
+  }
   eject_vc.release();
   msg.held.clear();
   ++arc_epoch_;  // message leaves the CWG
@@ -362,6 +365,7 @@ void Network::remove_message(MessageId id) {
     // wedged (descheduled) channel must not stay silent while survivors
     // drain through it.
     sched_wake_channel(vc.channel);
+    if (watched_[static_cast<std::size_t>(held)] != 0) wake_requesters(held);
     vc.buffer.clear();
     vc.release();
   }
@@ -456,6 +460,30 @@ void Network::check_invariants() const {
     if (vc.buffer.empty() || !vc.buffer.front().is_head()) {
       invariant_failure("pending VC front is not a header flit");
     }
+    // A dormant header at an unwoken router is skipped by the route walk,
+    // which is sound only while a retry would fail as a no-op (§3h).
+    if (dormant_[static_cast<std::size_t>(v)] == 0 ||
+        router_woken_[static_cast<std::size_t>(router_at(v))] != 0) {
+      continue;
+    }
+    const Message& msg = message(vc.owner);
+    const RouteMemo& memo = route_memo_[static_cast<std::size_t>(msg.id)];
+    if (!msg.blocked) invariant_failure("dormant header is not blocked");
+    if (memo.head_vc != v ||
+        memo.held_size != static_cast<std::int32_t>(msg.held.size())) {
+      invariant_failure("dormant header's route memo is stale");
+    }
+    if (msg.request_set != memo.vcs) {
+      invariant_failure("dormant header's request set is not its memo's");
+    }
+    for (const VcId want : memo.vcs) {
+      if (vcs_[static_cast<std::size_t>(want)].is_free()) {
+        invariant_failure("dormant header requests a free VC");
+      }
+      if (watched_[static_cast<std::size_t>(want)] == 0) {
+        invariant_failure("dormant header's request is unwatched");
+      }
+    }
   }
 
   // Active-set coverage: the event-driven core must never deschedule a
@@ -527,6 +555,13 @@ void Network::rebuild_active_sets() {
   for (const PhysChannel& pc : phys_) {
     if (transmit_work_possible(pc)) sched_wake_channel(pc.id);
   }
+}
+
+void Network::reset_dormancy() {
+  dormant_.assign(vcs_.size(), 0);
+  watched_.assign(vcs_.size(), 0);
+  router_woken_.assign(static_cast<std::size_t>(topo_->num_nodes()), 0);
+  woken_routers_.clear();
 }
 
 void Network::save_counters(BinWriter& out, const Counters& c) {
@@ -719,12 +754,14 @@ void Network::restore_state(BinReader& in, std::uint32_t version) {
 
   // The epoch is deliberately NOT serialized (it is a process-local cache
   // key, not simulation state); bumping it here invalidates any detector
-  // verdict cached against the pre-restore graph. The route memos and the
-  // active sets are likewise process-local: drop every memo, and recompute
-  // the sets from the restored buffers and queues.
+  // verdict cached against the pre-restore graph. The route memos, header
+  // dormancy and the active sets are likewise process-local: drop every
+  // memo, wake every header, and recompute the sets from the restored
+  // buffers and queues.
   ++arc_epoch_;
   route_memo_.clear();
   route_memo_.resize(static_cast<std::size_t>(num_messages));
+  reset_dormancy();
   rebuild_active_sets();
 
   check_invariants();

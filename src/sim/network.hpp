@@ -177,15 +177,16 @@ class Network {
   void install_hooks(const NetworkHooks& hooks) noexcept { hooks_ = hooks; }
   [[nodiscard]] const NetworkHooks& hooks() const noexcept { return hooks_; }
 
-  /// Selects the dense per-cycle sweep (every node and channel visited every
-  /// cycle) instead of the default event-driven active-set core. The dense
+  /// Selects the dense per-cycle sweep (every node and channel visited and
+  /// every pending header retried every cycle) instead of the default
+  /// event-driven active-set core, which skips dormant headers. The dense
   /// sweep schedules every reception interface and channel at the top of
-  /// step() and otherwise runs the event core unchanged, so it is the
-  /// lockstep oracle for the wakeup bookkeeping — both paths produce
-  /// byte-identical state, traces, and counters
-  /// (tests/test_step_equivalence.cpp) — kept behind --step-dense the same
-  /// way --detector-full-rebuild keeps the detection oracle. Safe to flip
-  /// between steps.
+  /// step(), retries dormant headers too, and otherwise runs the event core
+  /// unchanged, so it is the lockstep oracle for the wakeup and header-wake
+  /// bookkeeping — both paths produce byte-identical state, traces, and
+  /// counters (tests/test_step_equivalence.cpp) — kept behind --step-dense
+  /// the same way --detector-full-rebuild keeps the detection oracle. Safe
+  /// to flip between steps.
   void set_step_dense(bool dense) noexcept { step_dense_ = dense; }
   [[nodiscard]] bool step_dense() const noexcept { return step_dense_; }
 
@@ -272,6 +273,7 @@ class Network {
   /// holds. While the header sits in one VC its held chain only shrinks, so
   /// the key (head VC, held length) changes exactly when an input does.
   /// Process-local: never serialized, and restore_state drops every memo.
+  /// A blocked header's request set is `vcs`, in this order.
   struct RouteMemo {
     VcId head_vc = kInvalidVc;  ///< kInvalidVc: no memo.
     std::int32_t held_size = 0;
@@ -291,6 +293,17 @@ class Network {
   /// Recomputes the per-shard active sets from current state (set_shards and
   /// snapshot restore; the sets are never serialized).
   void rebuild_active_sets();
+  /// Clears every dormant, watched and woken byte (set_shards and snapshot
+  /// restore), so every pending header is retried once.
+  void reset_dormancy();
+  /// Releasing `vc`, which a dormant header watches: clears the watch and
+  /// wakes the router at its channel's source, the only router whose
+  /// headers can request it.
+  void wake_requesters(VcId vc);
+  /// The router whose headers sit in `vc`'s buffer.
+  [[nodiscard]] NodeId router_at(VcId vc) const {
+    return phys(vcs_[static_cast<std::size_t>(vc)].channel).dst;
+  }
 
   // --- shard workers, run by every step mode (network_sharded.cpp, §3j) ---
   // Scheduler routing for main-thread mutations (enqueue_message,
@@ -316,6 +329,7 @@ class Network {
   void route_grants(NodeId node, ShardCtx& ctx);
   /// Attempts allocation for the unrouted header in `head_vc`; returns true
   /// on success. `scan_index` is its position in this cycle's rotated scan.
+  /// A failure leaves the header dormant, watching its request set.
   bool try_route_header(VcId head_vc, std::uint32_t scan_index,
                         ShardCtx& ctx);
   /// Asks the routing relation for the header's candidate channels and their
@@ -381,6 +395,17 @@ class Network {
   // Message id -> route memo, written only by the shard that owns the
   // header's router (the rule request_set follows).
   std::vector<RouteMemo> route_memo_;
+  // Header dormancy (DESIGN.md §3h), process-local like the memos. A pending
+  // header whose last retry failed is dormant and is skipped until a VC it
+  // requests is released (its router is woken) or its held chain shrinks.
+  // Written by the shard owning the header's router (dormant_: its headers;
+  // watched_: VCs on channels out of it); transmit clears dormant_ for a
+  // head entering a VC, and buffers its other wakes when N shards run.
+  std::vector<std::uint8_t> dormant_;  // VC id -> its header sleeps
+  std::vector<std::uint8_t> watched_;  // VC id -> a dormant header wants it
+  // Node id -> a watched VC on a channel out of it was released.
+  std::vector<std::uint8_t> router_woken_;
+  std::vector<NodeId> woken_routers_;  // the nodes router_woken_ marks
 
   Cycle now_ = 0;
   std::uint64_t arc_epoch_ = 0;

@@ -15,8 +15,9 @@
 //    channel whose SOURCE router it owns, VCs included;
 //  * deliver and route touch only owned state — routing candidates are
 //    channels out of the header's current router, which the router's shard
-//    owns (the one cross-shard write, `from.route_out` in acquire, targets
-//    the header's own VC, which no other shard touches this phase);
+//    owns (the cross-shard writes, `from.route_out` in acquire and the
+//    header's dormant byte, target the header's own VC, which no other
+//    shard touches this phase);
 //  * with two or more shards transmit is split decide/pop/push: T1 is
 //    read-only against transmit-start state, T2 performs the pops (each VC
 //    has a unique downstream mover), T3 performs the pushes (each VC is
@@ -30,6 +31,14 @@
 // return) whatever the channel numbering. Adaptive selection shuffles with a
 // per-(message, cycle) hash stream, so no header's draw depends on how many
 // headers drew before it.
+//
+// Blocked headers sleep (DESIGN.md §3h). A header runs selection only when a
+// VC of its request set (its route memo's VC list) is free, so a failure
+// draws nothing and changes nothing while its memo is valid. A header whose
+// retry failed is dormant, and the route walk files it as a failure without
+// a retry until a VC it requests is released (which wakes its router) or
+// its held chain shrinks. Every grant, and the order of pending_, is the
+// one a retry of every header would give.
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
@@ -87,6 +96,7 @@ void Network::set_shards(int shards) {
   merge_cursor_.assign(shard_ctx_.size(), 0);
   pool_ = std::make_unique<WorkerPool>(shard_ctx_.size());
   rebuild_active_sets();
+  reset_dormancy();
 }
 
 void Network::sched_insert_src(NodeId node) {
@@ -252,21 +262,23 @@ void Network::route_shard(ShardCtx& ctx) {
     route_grants(node, ctx);
   }
 
-  // Retry every unrouted header whose current router this shard owns,
-  // walking the globally rotated order so the scan positions — the order the
-  // 1-shard run processes and re-files failures — are shard-independent.
+  // Walk every unrouted header whose current router this shard owns, in the
+  // globally rotated order so the scan positions — the order the 1-shard run
+  // processes and re-files failures — are shard-independent. A dormant
+  // header at a router no release woke would fail again without a change,
+  // so it is re-filed without a retry; the dense oracle retries it.
   const std::size_t count = pending_.size();
   std::size_t pos = count == 0 ? 0 : static_cast<std::size_t>(now_) % count;
   const bool owns_all = shard_ctx_.size() == 1;
   for (std::size_t i = 0; i < count; ++i) {
     const VcId head_vc = pending_[pos];
     if (++pos == count) pos = 0;
-    if (!owns_all &&
-        shard_of_node(phys(vcs_[static_cast<std::size_t>(head_vc)].channel)
-                          .dst) != ctx.shard) {
-      continue;
-    }
-    if (!try_route_header(head_vc, static_cast<std::uint32_t>(i), ctx)) {
+    if (!owns_all && shard_of_node(router_at(head_vc)) != ctx.shard) continue;
+    const bool asleep =
+        !step_dense_ && dormant_[static_cast<std::size_t>(head_vc)] != 0 &&
+        router_woken_[static_cast<std::size_t>(router_at(head_vc))] == 0;
+    if (asleep ||
+        !try_route_header(head_vc, static_cast<std::uint32_t>(i), ctx)) {
       ShardRouteFailure failure;
       failure.scan_index = static_cast<std::uint32_t>(i);
       failure.head_vc = head_vc;
@@ -351,93 +363,103 @@ bool Network::try_route_header(VcId head_vc, std::uint32_t scan_index,
   // A header that failed here before, with the same held chain, gets the
   // same candidates and allowed VCs: replay them (DESIGN.md §3h).
   RouteMemo& memo = route_memo_[static_cast<std::size_t>(msg.id)];
-  if (memo.head_vc != head_vc ||
-      memo.held_size != static_cast<std::int32_t>(msg.held.size())) {
-    fill_route_memo(msg, v, memo);
-  } else if (memo.channels.size() == 1) {
-    // Still blocked on one channel: selection has nothing to order and draws
-    // nothing, so unless a memo VC is free the request set stands as is.
-    for (const VcId candidate : memo.vcs) {
-      VcState& w = vcs_[static_cast<std::size_t>(candidate)];
-      if (w.is_free()) {
-        acquire_vc(msg, v, w, key, ctx);
-        return true;
+  const bool stale =
+      memo.head_vc != head_vc ||
+      memo.held_size != static_cast<std::int32_t>(msg.held.size());
+  if (stale) fill_route_memo(msg, v, memo);
+
+  const auto is_free = [this](VcId id) {
+    return vcs_[static_cast<std::size_t>(id)].is_free();
+  };
+  if (std::any_of(memo.vcs.begin(), memo.vcs.end(), is_free)) {
+    // Order the candidates by the selection policy and take the first free
+    // allowed VC. A one-channel list is left as is and draws nothing (the
+    // SelectionPolicy::order contract). The stream is a pure function of
+    // (seed, message, cycle): no shard schedule, visit order or skipped
+    // retry can change a draw.
+    ctx.scratch_channels.assign(memo.channels.begin(), memo.channels.end());
+    if (ctx.scratch_channels.size() > 1) {
+      Pcg32 rng(config_.seed ^ (0x9e3779b97f4a7c15ULL *
+                                (static_cast<std::uint64_t>(msg.id) + 1)),
+                static_cast<std::uint64_t>(now_));
+      selection_->order(*this, msg, v.id, ctx.scratch_channels, rng);
+    }
+    for (const ChannelId ch : ctx.scratch_channels) {
+      // The channel's allowed VCs: the memo's run of ids in its VC range.
+      const PhysChannel& pc = phys(ch);
+      const auto in_channel = [&pc](VcId id) {
+        return id >= pc.first_vc && id < pc.first_vc + pc.num_vcs;
+      };
+      auto it = std::find_if(memo.vcs.begin(), memo.vcs.end(), in_channel);
+      for (; it != memo.vcs.end() && in_channel(*it); ++it) {
+        VcState& w = vcs_[static_cast<std::size_t>(*it)];
+        if (w.is_free()) {
+          acquire_vc(msg, v, w, key, ctx);
+          return true;
+        }
       }
     }
-    return false;
+    assert(false && "a free memo VC lies in some candidate channel");
   }
 
-  ctx.scratch_channels.assign(memo.channels.begin(), memo.channels.end());
-  if (ctx.scratch_channels.size() > 1) {
-    // A one-channel list is left as is and draws nothing (the
-    // SelectionPolicy::order contract), so only longer lists are ordered.
-    // The stream is a pure function of (seed, message, cycle): no shard
-    // schedule or visit order can change a draw.
-    Pcg32 rng(config_.seed ^ (0x9e3779b97f4a7c15ULL *
-                              (static_cast<std::uint64_t>(msg.id) + 1)),
-              static_cast<std::uint64_t>(now_));
-    selection_->order(*this, msg, v.id, ctx.scratch_channels, rng);
-  }
+  // Blocked: sleep until a requested VC is released or the held chain
+  // shrinks, and watch every requested VC for its release.
+  dormant_[static_cast<std::size_t>(head_vc)] = 1;
+  for (const VcId want : memo.vcs) watched_[static_cast<std::size_t>(want)] = 1;
 
-  ctx.scratch_vcs.clear();
-  for (const ChannelId ch : ctx.scratch_channels) {
-    // The channel's allowed VCs: the memo's run of ids in its VC range.
-    const PhysChannel& pc = phys(ch);
-    const auto in_channel = [&pc](VcId id) {
-      return id >= pc.first_vc && id < pc.first_vc + pc.num_vcs;
-    };
-    auto it = std::find_if(memo.vcs.begin(), memo.vcs.end(), in_channel);
-    for (; it != memo.vcs.end() && in_channel(*it); ++it) {
-      ctx.scratch_vcs.push_back(*it);
-    }
-  }
-
-  for (const VcId candidate : ctx.scratch_vcs) {
-    VcState& w = vcs_[static_cast<std::size_t>(candidate)];
-    if (w.is_free()) {
-      acquire_vc(msg, v, w, key, ctx);
-      return true;
-    }
-  }
-
+  // The request set is the memo's VC list. A valid memo was stored as the
+  // request set at the failure that filled it, so nothing changed.
   const bool newly_blocked = !msg.blocked;
-  // Still blocked on the same request set in the same order: no arc changed.
-  if (!newly_blocked && msg.request_set == ctx.scratch_vcs) return false;
+  if (!newly_blocked && !stale) return false;
+  ctx.scratch_old_requests.swap(msg.request_set);
+  msg.request_set.assign(memo.vcs.begin(), memo.vcs.end());
+  // Dashed-arc delta. Request sets are tiny (one entry per candidate VC),
+  // so the quadratic diff is cheaper than sorting.
+  const auto absent = [](const std::vector<VcId>& set, VcId id) {
+    return std::find(set.begin(), set.end(), id) == set.end();
+  };
+  const std::vector<VcId>& old_requests = ctx.scratch_old_requests;
+  const bool changed =
+      newly_blocked ||
+      std::any_of(msg.request_set.begin(), msg.request_set.end(),
+                  [&](VcId id) { return absent(old_requests, id); }) ||
+      std::any_of(old_requests.begin(), old_requests.end(),
+                  [&](VcId id) { return absent(msg.request_set, id); });
+  if (!changed) return false;  // reordered only: the same dashed arcs
   ++ctx.epoch;
   if (newly_blocked) {
     msg.blocked = true;
     msg.blocked_since = now_;
   }
   if (hooks_.tracer != nullptr) {
-    ctx.scratch_old_requests.assign(msg.request_set.begin(),
-                                    msg.request_set.end());
-    msg.request_set.assign(ctx.scratch_vcs.begin(), ctx.scratch_vcs.end());
     if (newly_blocked) {
       trace_buffered(ctx, key, TraceEventKind::MessageBlocked, msg.id,
                      head_vc, kInvalidVc,
                      static_cast<std::int32_t>(msg.request_set.size()));
     }
-    // Dashed-arc delta. Request sets are tiny (one entry per candidate VC),
-    // so the quadratic diff is cheaper than sorting.
     for (const VcId want : msg.request_set) {
-      if (std::find(ctx.scratch_old_requests.begin(),
-                    ctx.scratch_old_requests.end(),
-                    want) == ctx.scratch_old_requests.end()) {
+      if (absent(old_requests, want)) {
         trace_buffered(ctx, key, TraceEventKind::CwgArcAdded, msg.id, want,
                        head_vc);
       }
     }
-    for (const VcId had : ctx.scratch_old_requests) {
-      if (std::find(msg.request_set.begin(), msg.request_set.end(), had) ==
-          msg.request_set.end()) {
+    for (const VcId had : old_requests) {
+      if (absent(msg.request_set, had)) {
         trace_buffered(ctx, key, TraceEventKind::CwgArcRemoved, msg.id, had,
                        head_vc);
       }
     }
-  } else {
-    msg.request_set.assign(ctx.scratch_vcs.begin(), ctx.scratch_vcs.end());
   }
   return false;
+}
+
+void Network::wake_requesters(VcId vc) {
+  watched_[static_cast<std::size_t>(vc)] = 0;
+  const NodeId router = phys(vcs_[static_cast<std::size_t>(vc)].channel).src;
+  if (router_woken_[static_cast<std::size_t>(router)] == 0) {
+    router_woken_[static_cast<std::size_t>(router)] = 1;
+    woken_routers_.push_back(router);
+  }
 }
 
 void Network::acquire_vc(Message& msg, VcState& from, VcState& target,
@@ -504,6 +526,13 @@ void Network::commit_route() {
   pending_.swap(scratch_pending_);
 
   for (const ShardCtx& ctx : shard_ctx_) counters_.injected += ctx.injected;
+
+  // Every wake reached this route phase: no VC is released during route, so
+  // the next phase's wakes come from the releases after this point.
+  for (const NodeId router : woken_routers_) {
+    router_woken_[static_cast<std::size_t>(router)] = 0;
+  }
+  woken_routers_.clear();
   flush_buffered_traces();
 }
 
@@ -590,7 +619,10 @@ void Network::transmit_channel(PhysChannel& pc, ShardCtx& ctx) {
       flit.seq = msg.flits_sent++;
       flit.arrived = now_;
       w.buffer.push(flit);
-      if (flit.is_head()) pending_.push_back(w.id);
+      if (flit.is_head()) {
+        pending_.push_back(w.id);
+        dormant_[static_cast<std::size_t>(w.id)] = 0;
+      }
       if (w.route_out != kInvalidVc) {
         // A routed head is already downstream; feed its channel.
         ctx.chan_active.insert(
@@ -632,6 +664,9 @@ void Network::transmit_channel(PhysChannel& pc, ShardCtx& ctx) {
     if (tail_left_upstream) {
       assert(!msg.held.empty() && msg.held.front() == u.id);
       msg.held.erase(msg.held.begin());
+      // A blocked header's memo key moved with its held chain: wake it.
+      if (msg.blocked) dormant_[static_cast<std::size_t>(msg.held.back())] = 0;
+      if (watched_[static_cast<std::size_t>(u.id)] != 0) wake_requesters(u.id);
       u.release();
       w.route_in = kInvalidVc;  // no further flits arrive from upstream
       ++ctx.epoch;  // oldest solid arc retired, VC ownership vacated
@@ -653,6 +688,7 @@ void Network::transmit_channel(PhysChannel& pc, ShardCtx& ctx) {
     }
     if (flit.is_head() && pc.kind != ChannelKind::Ejection) {
       pending_.push_back(w.id);
+      dormant_[static_cast<std::size_t>(w.id)] = 0;
     }
     pc.rr_cursor = idx + 1 == pc.num_vcs ? 0 : idx + 1;
     moved = true;
@@ -665,6 +701,8 @@ void Network::transmit_decide_shard(ShardCtx& ctx) {
   ctx.moves.clear();
   ctx.pending_adds.clear();
   ctx.wake_outbox.clear();
+  ctx.released_watched.clear();
+  ctx.shrunk_heads.clear();
   ctx.trace_buf.clear();
   // Read-only against transmit-start state (the only mutation is
   // descheduling our own channels, which touches no VC). Every decision —
@@ -724,6 +762,7 @@ void Network::push_move(const ShardMove& move, ShardCtx& ctx) {
       add.channel = pc.id;
       add.vc = w.id;
       ctx.pending_adds.push_back(add);
+      dormant_[static_cast<std::size_t>(w.id)] = 0;  // w is ours
     }
     if (w.route_out != kInvalidVc) {
       // A routed head is already downstream; its channel leaves this node,
@@ -749,6 +788,11 @@ void Network::push_move(const ShardMove& move, ShardCtx& ctx) {
   if (tail_left_upstream) {
     assert(!msg.held.empty() && msg.held.front() == u.id);
     msg.held.erase(msg.held.begin());
+    // The header wakes touch other shards' bytes: applied at commit.
+    if (msg.blocked) ctx.shrunk_heads.push_back(msg.held.back());
+    if (watched_[static_cast<std::size_t>(u.id)] != 0) {
+      ctx.released_watched.push_back(u.id);
+    }
     u.release();
     w.route_in = kInvalidVc;  // no further flits arrive from upstream
     ++ctx.epoch;  // oldest solid arc retired, VC ownership vacated
@@ -774,6 +818,7 @@ void Network::push_move(const ShardMove& move, ShardCtx& ctx) {
     add.channel = pc.id;
     add.vc = w.id;
     ctx.pending_adds.push_back(add);
+    dormant_[static_cast<std::size_t>(w.id)] = 0;  // w is ours
   }
 }
 
@@ -785,11 +830,15 @@ void Network::commit_transmit() {
       [](const ShardPendingAdd& add) { return add.channel; },
       [this](const ShardPendingAdd& add) { pending_.push_back(add.vc); });
 
-  // Cross-shard wakeups: idempotent set inserts, order irrelevant.
+  // Cross-shard wakeups and header wakes: idempotent, order irrelevant.
   for (const ShardCtx& ctx : shard_ctx_) {
     for (const ChannelId ch : ctx.wake_outbox) {
       shard_ctx_[static_cast<std::size_t>(shard_of_channel(ch))]
           .chan_active.insert(ch);
+    }
+    for (const VcId vc : ctx.released_watched) wake_requesters(vc);
+    for (const VcId head : ctx.shrunk_heads) {
+      dormant_[static_cast<std::size_t>(head)] = 0;
     }
   }
   flush_buffered_traces();

@@ -100,13 +100,17 @@ struct ShardCtx {
   /// provably shard-local). Drained into the owning shards' chan_active at
   /// commit; insertion is idempotent so order is irrelevant.
   std::vector<ChannelId> wake_outbox;
+  /// Header wakes of the N-shard push pass, applied at commit (idempotent,
+  /// so order is irrelevant): released VCs a dormant header watches, and the
+  /// head VCs of blocked messages whose held chain shrank.
+  std::vector<VcId> released_watched;
+  std::vector<VcId> shrunk_heads;
 
   std::vector<ShardTraceRecord> trace_buf;
 
   // --- reusable header-routing scratch -------------------------------------
   std::vector<ChannelId> scratch_channels;
-  std::vector<VcId> scratch_vcs;
-  std::vector<VcId> scratch_old_requests;  // tracing only
+  std::vector<VcId> scratch_old_requests;
 };
 
 }  // namespace flexnet

@@ -32,7 +32,9 @@ DeadlockCorpus::DeadlockCorpus(std::string dir, int limit, const SimConfig& sim,
 void DeadlockCorpus::on_knot(const Network& net, const Cwg& cwg,
                              const Knot& knot, const DeadlockRecord& record) {
   const std::uint64_t hash = canonical_knot_hash(cwg, knot);
-  if (!seen_.insert(hash).second) {
+  if (!seen_.emplace(hash, record.deadlock_set_size, record.resource_set_size,
+                     record.knot_size)
+           .second) {
     ++duplicates_;
     return;
   }
@@ -58,10 +60,23 @@ void DeadlockCorpus::on_knot(const Network& net, const Cwg& cwg,
       capture_snapshot(meta, sim_, traffic_, detector_config_, workload_, net,
                        *injection_, *detector_, *metrics_);
 
-  char name[64];
-  std::snprintf(name, sizeof(name), "knot-%lld-%016llx.snap",
-                static_cast<long long>(net.now()),
-                static_cast<unsigned long long>(hash));
+  // A hash twin of a knot captured earlier this cycle would take its file
+  // name; the twin's sizes tell the two apart.
+  const auto [named, fresh] = named_at_.try_emplace(hash, net.now());
+  const bool twin = !fresh && named->second == net.now();
+  named->second = net.now();
+  char name[96];
+  if (twin) {
+    std::snprintf(name, sizeof(name), "knot-%lld-%016llx-%d-%d-%d.snap",
+                  static_cast<long long>(net.now()),
+                  static_cast<unsigned long long>(hash),
+                  record.deadlock_set_size, record.resource_set_size,
+                  record.knot_size);
+  } else {
+    std::snprintf(name, sizeof(name), "knot-%lld-%016llx.snap",
+                  static_cast<long long>(net.now()),
+                  static_cast<unsigned long long>(hash));
+  }
   write_snapshot_file(dir_ + "/" + name, snap);
   ++captured_;
 }

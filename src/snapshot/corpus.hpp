@@ -4,9 +4,12 @@
 // knot is confirmed — record filled, victim chosen, nothing removed yet — it
 // dumps a full flexnet-snap-v1 image of the simulation with the knot's
 // characterization (set sizes, cycle density, canonical hash) in the meta
-// section. Captures are deduplicated by canonical_knot_hash, so a saturated
-// run that forms the same translated wait-for pattern hundreds of times
-// contributes one corpus entry, and capped to bound disk use.
+// section. Captures are deduplicated by canonical_knot_hash together with
+// the deadlock-set, resource-set and knot sizes, so a saturated run that
+// forms the same translated wait-for pattern hundreds of times contributes
+// one corpus entry, while structurally different knots that share a hash
+// (refinement cannot always separate them) each get one. Captures are capped
+// to bound disk use.
 //
 // replay_capture() is the other half: restore the image, rebuild the CWG,
 // re-run knot detection and cycle-density enumeration, and check the fresh
@@ -16,8 +19,10 @@
 #pragma once
 
 #include <cstdint>
+#include <set>
 #include <string>
-#include <unordered_set>
+#include <tuple>
+#include <unordered_map>
 
 #include "core/detector.hpp"
 #include "snapshot/snapshot.hpp"
@@ -27,9 +32,11 @@ namespace flexnet {
 class DeadlockCorpus final : public KnotCaptureHook {
  public:
   /// Snapshots are written to `dir` (created on first capture) as
-  /// `knot-<cycle>-<hash>.snap`. At most `limit` files are written (<=0
-  /// disables the cap). The component pointers are non-owning and must stay
-  /// valid while the corpus is attached.
+  /// `knot-<cycle>-<hash>.snap`; a hash twin captured in the same cycle as
+  /// an earlier one is named `knot-<cycle>-<hash>-<D>-<R>-<K>.snap` after
+  /// its deadlock-set, resource-set and knot sizes. At most `limit` files
+  /// are written (<=0 disables the cap). The component pointers are
+  /// non-owning and must stay valid while the corpus is attached.
   DeadlockCorpus(std::string dir, int limit, const SimConfig& sim,
                  const TrafficConfig& traffic, const WorkloadConfig& workload,
                  const DetectorConfig& detector,
@@ -49,7 +56,8 @@ class DeadlockCorpus final : public KnotCaptureHook {
   }
 
   [[nodiscard]] int captured() const noexcept { return captured_; }
-  /// Knots skipped because their canonical hash was already captured.
+  /// Knots skipped because a knot with the same canonical hash and the
+  /// same set and knot sizes was already captured.
   [[nodiscard]] int duplicates() const noexcept { return duplicates_; }
   /// Knots skipped because the capture cap was reached.
   [[nodiscard]] int dropped() const noexcept { return dropped_; }
@@ -68,7 +76,11 @@ class DeadlockCorpus final : public KnotCaptureHook {
   Cycle measure_ = 0;
   std::int32_t sample_every_ = 1;
   bool measuring_ = false;
-  std::unordered_set<std::uint64_t> seen_;
+  /// Captured (hash, deadlock-set size, resource-set size, knot size).
+  std::set<std::tuple<std::uint64_t, int, int, int>> seen_;
+  /// Hash -> cycle of its latest capture, to give same-cycle twins
+  /// distinct file names.
+  std::unordered_map<std::uint64_t, Cycle> named_at_;
   int captured_ = 0;
   int duplicates_ = 0;
   int dropped_ = 0;

@@ -77,7 +77,8 @@ inline int step_cycle(Simulation& sim) {
 
 /// Locksteps `cfg` in the default engine against the dense sweep and against
 /// `shards` shards, asserting every detector verdict matches each cycle and
-/// the full serialized network state matches periodically and at the end.
+/// the full serialized network state and the structural invariants
+/// (dormant headers included) hold periodically and at the end.
 inline void run_lockstep(const ExperimentConfig& cfg, Cycle cycles,
                          int shards) {
   const StepMode others[] = {{"dense", true, 0}, {"shards", false, shards}};
@@ -93,12 +94,14 @@ inline void run_lockstep(const ExperimentConfig& cfg, Cycle cycles,
 
   for (Cycle i = 0; i < cycles; ++i) {
     const int verdict = step_cycle(base);
+    if (i % 250 == 0) base.network().check_invariants();
     for (std::size_t m = 0; m < sims.size(); ++m) {
       ASSERT_EQ(step_cycle(*sims[m]), verdict)
           << others[m].name << " diverged at cycle " << i;
       if (i % 250 == 0) {
         ASSERT_EQ(net_bytes(base.network()), net_bytes(sims[m]->network()))
             << others[m].name << " state diverged by cycle " << i;
+        sims[m]->network().check_invariants();
       }
     }
   }

@@ -3,10 +3,12 @@
 // CWG hash, same deadlock/resource set sizes, same knot cycle density — when
 // detection is re-run on the restored network. This pins the snapshot format
 // AND the detector's verdict against regressions. A hand-built pair of
-// hash-colliding knots pins how replay picks the recorded one.
+// hash-colliding knots pins how replay picks the recorded one and how the
+// corpus keeps both.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "core/cwg.hpp"
 #include "core/knot.hpp"
 #include "exp/experiment.hpp"
+#include "metrics/metrics.hpp"
 #include "sim/network.hpp"
 #include "snapshot/corpus.hpp"
 #include "snapshot/snapshot.hpp"
@@ -76,15 +79,14 @@ TEST(CommittedCorpus, MutatedDensityDoesNotReplay) {
   }
 }
 
-TEST(ReplayCapture, PicksTheRecordedKnotAmongHashTwins) {
-  // Two 4-VC ring knots on a unidirectional 4-ary 2-cube (DOR, 1 VC, 4-flit
-  // messages in 2-flit buffers, so every blocked worm holds exactly 2 VCs and
-  // requests 1). Column 0's ring is owned by three worms, two of which turn
-  // in from row channels; row 1's ring by two worms lying wholly inside it.
-  // Every knot vertex has induced in/out degree 1 and an owner holding 2 VCs
-  // with 1 request, so refinement cannot separate the rings: equal canonical
-  // hashes, different deadlock and resource sets. Replay must pick the knot
-  // whose sizes match the recording, not the first hash match.
+/// Two 4-VC ring knots on a unidirectional 4-ary 2-cube (DOR, 1 VC, 4-flit
+/// messages in 2-flit buffers, so every blocked worm holds exactly 2 VCs and
+/// requests 1). Column 0's ring is owned by three worms, two of which turn
+/// in from row channels; row 1's ring by two worms lying wholly inside it.
+/// Every knot vertex has induced in/out degree 1 and an owner holding 2 VCs
+/// with 1 request, so refinement cannot separate the rings: equal canonical
+/// hashes, different deadlock and resource sets.
+ExperimentConfig hash_twin_config() {
   ExperimentConfig cfg;
   cfg.sim.topology = {4, 2, false, true};
   cfg.sim.routing = RoutingKind::DOR;
@@ -92,8 +94,11 @@ TEST(ReplayCapture, PicksTheRecordedKnotAmongHashTwins) {
   cfg.sim.message_length = 4;
   cfg.sim.buffer_depth = 2;
   cfg.traffic.load = 0.0;
-  Simulation sim(cfg);
-  Network& net = sim.network();
+  return cfg;
+}
+
+/// Steps a network built from hash_twin_config() into the two twin knots.
+void form_hash_twins(Network& net) {
   const struct {
     NodeId src;
     NodeId dst;
@@ -106,6 +111,14 @@ TEST(ReplayCapture, PicksTheRecordedKnotAmongHashTwins) {
   };
   for (const auto& worm : worms) net.enqueue_message(worm.src, worm.dst, 4);
   for (int i = 0; i < 50; ++i) net.step();
+}
+
+TEST(ReplayCapture, PicksTheRecordedKnotAmongHashTwins) {
+  // Replay must pick the knot whose sizes match the recording, not the
+  // first hash match.
+  Simulation sim(hash_twin_config());
+  Network& net = sim.network();
+  form_hash_twins(net);
 
   const Cwg cwg = Cwg::from_network(net);
   const std::vector<Knot> knots = find_knots(cwg);
@@ -141,6 +154,62 @@ TEST(ReplayCapture, PicksTheRecordedKnotAmongHashTwins) {
   EXPECT_EQ(mismatch.deadlock_set_size, 3);
   EXPECT_NE(mismatch.detail.find("replayed 3/6/4"), std::string::npos)
       << mismatch.detail;
+}
+
+TEST(DeadlockCorpus, CapturesHashTwinsOfDifferentShape) {
+  // Both twin knots confirmed in one cycle: one hash, different sizes. Each
+  // gets its own file (the first under the plain name), each file replays
+  // to its own knot, and only an exact repeat counts as a duplicate.
+  Simulation sim(hash_twin_config());
+  Network& net = sim.network();
+  form_hash_twins(net);
+  const Cwg cwg = Cwg::from_network(net);
+  const std::vector<Knot> knots = find_knots(cwg);
+  ASSERT_EQ(knots.size(), 2u);
+  const std::uint64_t hash = canonical_knot_hash(cwg, knots[0]);
+  ASSERT_EQ(canonical_knot_hash(cwg, knots[1]), hash);
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "flexnet_corpus_twins";
+  std::filesystem::remove_all(dir);
+  const ExperimentConfig& cfg = sim.config();
+  const MetricsCollector metrics;
+  DeadlockCorpus corpus(dir.string(), 0, cfg.sim, cfg.traffic, cfg.workload,
+                        cfg.detector, &sim.injection(), &sim.detector(),
+                        &metrics);
+  std::vector<DeadlockRecord> records;
+  for (const Knot& knot : knots) {
+    DeadlockRecord record;
+    record.deadlock_set_size = static_cast<int>(knot.deadlock_set.size());
+    record.resource_set_size = static_cast<int>(knot.resource_set.size());
+    record.knot_size = static_cast<int>(knot.knot_vcs.size());
+    record.knot_cycle_density =
+        knot_cycle_density(cwg, knot, cfg.detector.knot_density_cap).count;
+    records.push_back(record);
+    corpus.on_knot(net, cwg, knot, record);
+  }
+  EXPECT_EQ(corpus.captured(), 2);
+  EXPECT_EQ(corpus.duplicates(), 0);
+
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+    const ReplayResult replay =
+        replay_capture(read_snapshot_file(entry.path().string()));
+    EXPECT_TRUE(replay.matches) << entry.path() << ": " << replay.detail;
+  }
+  std::sort(names.begin(), names.end());
+  char first[64];
+  std::snprintf(first, sizeof(first), "knot-50-%016llx",
+                static_cast<unsigned long long>(hash));
+  const std::vector<std::string> expected = {
+      std::string(first) + "-2-4-4.snap", std::string(first) + ".snap"};
+  EXPECT_EQ(names, expected);
+
+  corpus.on_knot(net, cwg, knots[1], records[1]);
+  EXPECT_EQ(corpus.captured(), 2);
+  EXPECT_EQ(corpus.duplicates(), 1);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -41,15 +41,17 @@ TEST(ShardedStep, SemanticsPinned) {
   // Every mode runs the same deliver and route code and reaches the same
   // transmit decisions, so the lockstep pairs cannot see a drift in them.
   // These hashes pin the semantics (transmit-start credits, per-(message,
-  // cycle) selection draws) on the lockstep grid config, recorded at 1 shard
-  // before the serial engine adopted them; a mismatch is a semantic change.
+  // cycle) selection draws) on the lockstep grid config. The state bytes
+  // include each blocked header's request set in routing-relation order
+  // (DESIGN.md §3h), so a mismatch is a change of the semantics or of the
+  // stored request order.
   const struct {
     RoutingKind routing;
     std::uint64_t hash;
   } pins[] = {
       {RoutingKind::DOR, 0x1cf6a215ccdce74aULL},
-      {RoutingKind::TFAR, 0xb4e291ba3cc42909ULL},
-      {RoutingKind::TableMin, 0xb4e291ba3cc42909ULL},
+      {RoutingKind::TFAR, 0x2340509a33597b49ULL},
+      {RoutingKind::TableMin, 0x2340509a33597b49ULL},
   };
   for (const StepMode& mode : kPinModes) {
     for (const auto& pin : pins) {
@@ -64,13 +66,12 @@ TEST(ShardedStep, SemanticsPinned) {
 
 TEST(ShardedStep, RoutingVariantsPinned) {
   // The remaining routing relations and selection policies, one hash each,
-  // in kRoutingVariants order. Recorded at 1 shard before blocked headers
-  // replayed a memoized route, which left every one unchanged.
+  // in kRoutingVariants order, under the same rules as SemanticsPinned.
   const std::uint64_t hashes[] = {
       0xe88d1b70c0d76c54ULL,
-      0x9393f0dc3dc85c12ULL,
-      0x93e029a61916fecdULL,
-      0xae3a969252c1b5f6ULL,
+      0x63c2e862172ff23eULL,
+      0xffd10e52a28fff6dULL,
+      0xdb173c30b1929a86ULL,
       0xa77dd6efbbf0307aULL,
       0xd139258ae5f62925ULL,
   };

@@ -7,7 +7,9 @@
 // routing with faults, replays the committed deadlock corpus in every mode,
 // crosses modes over a mid-run checkpoint, and pins the recovery-wakeup
 // contract: a network that just had a message removed must drain without a
-// dense sweep.
+// dense sweep. The header-wake cases check that a dormant header is retried
+// after each event that can change its answer: a requested VC freed by a
+// delivery or by recovery, and its own held chain shrinking.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,8 +18,10 @@
 #include <vector>
 
 #include "lockstep.hpp"
+#include "routing/dor.hpp"
 #include "routing/routing.hpp"
 #include "routing/selection.hpp"
+#include "topo/topology.hpp"
 
 #ifndef FLEXNET_CORPUS_DIR
 #error "FLEXNET_CORPUS_DIR must point at the committed tests/corpus directory"
@@ -171,6 +175,110 @@ TEST(StepEquivalence, RecoveryWakeupsDrainTheNetwork) {
     EXPECT_EQ(net.counters().recovered, 1);
     net.check_invariants();
   }
+}
+
+TEST(StepEquivalence, DeliveryWakesADormantHeader) {
+  // Two 8-flit messages to one destination on a 4-node ring, one ejection
+  // VC: the second header reaches node 2 while the first still owns the
+  // ejection VC, fails, and sleeps. Only complete_delivery's release of
+  // that VC can wake it; the dense oracle would retry it anyway.
+  SimConfig cfg;
+  cfg.topology.k = 4;
+  cfg.topology.n = 1;
+  cfg.routing = RoutingKind::DOR;
+  cfg.message_length = 8;
+  cfg.buffer_depth = 8;
+  for (const StepMode& mode :
+       {StepMode{"default"}, StepMode{"dense", true},
+        StepMode{"2 shards", false, 2}}) {
+    SCOPED_TRACE(mode.name);
+    Network net(cfg, NetworkDeps{nullptr, make_routing(cfg),
+                                 make_selection(cfg.selection)});
+    net.set_step_dense(mode.dense);
+    net.set_shards(mode.shards);
+    net.enqueue_message(1, 2, 8);
+    net.enqueue_message(3, 2, 8);
+    for (int i = 0; i < 100 && net.counters().delivered < 2; ++i) {
+      net.step();
+      net.check_invariants();
+    }
+    EXPECT_EQ(net.counters().delivered, 2) << "the second message slept";
+  }
+}
+
+/// A test-only relation whose candidates read the held chain, as the
+/// RoutingAlgorithm contract allows: the dimension-order channel while the
+/// worm spans three or more VCs, and every minimal channel out of the router
+/// once it holds two or fewer. A dormant header whose chain shrinks to two
+/// therefore gains candidates that its watched VCs say nothing about.
+class HeldGatedRouting final : public RoutingAlgorithm {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "HeldGated";
+  }
+  void candidate_channels(const Network& net, const Message& msg, NodeId here,
+                          VcId /*in_vc*/,
+                          std::vector<ChannelId>& out) const override {
+    const ChannelId dor = DorRouting::dor_channel(net, here, msg.dst);
+    out.push_back(dor);
+    if (msg.held.size() > 2) return;
+    const Topology& topo = net.topology();
+    for (const ChannelId ch : topo.out_channels(here)) {
+      if (ch != dor && topo.hop_is_minimal(topo.channel(ch), msg.dst)) {
+        out.push_back(ch);
+      }
+    }
+  }
+};
+
+TEST(StepEquivalence, HeldShrinkWakesADormantHeader) {
+  // 8-flit worms in 4-flit buffers: a blocked worm spread over three VCs
+  // compacts into two and widens its candidate set. The default engine and
+  // 4 shards must retry it then, as the dense oracle does every cycle.
+  ExperimentConfig cfg = grid_config(RoutingKind::DOR, 0.6);
+  cfg.sim.buffer_depth = 4;
+  struct Run {
+    std::unique_ptr<Network> net;
+    std::unique_ptr<InjectionProcess> injection;
+    std::unique_ptr<DeadlockDetector> detector;
+  };
+  const StepMode modes[] = {
+      {"default"}, {"dense", true}, {"4 shards", false, 4}};
+  std::vector<Run> runs;
+  for (const StepMode& mode : modes) {
+    NetworkDeps deps;
+    deps.routing = std::make_unique<HeldGatedRouting>();
+    deps.selection = make_selection(cfg.sim.selection);
+    Run run;
+    run.net = std::make_unique<Network>(cfg.sim, std::move(deps));
+    run.net->set_step_dense(mode.dense);
+    run.net->set_shards(mode.shards);
+    run.injection =
+        std::make_unique<InjectionProcess>(*run.net, cfg.traffic, 7);
+    run.detector = std::make_unique<DeadlockDetector>(cfg.detector, 7);
+    runs.push_back(std::move(run));
+  }
+  for (Cycle i = 0; i < 2000; ++i) {
+    int verdict = 0;
+    for (std::size_t m = 0; m < runs.size(); ++m) {
+      Run& run = runs[m];
+      run.injection->tick(*run.net);
+      run.net->step();
+      const int v = run.detector->tick(*run.net);
+      if (m == 0) verdict = v;
+      ASSERT_EQ(v, verdict) << modes[m].name << " diverged at cycle " << i;
+      if (i % 50 == 0) {
+        ASSERT_EQ(net_bytes(*run.net), net_bytes(*runs[0].net))
+            << modes[m].name << " state diverged by cycle " << i;
+        run.net->check_invariants();
+      }
+    }
+  }
+  for (const Run& run : runs) {
+    EXPECT_EQ(net_bytes(*run.net), net_bytes(*runs[0].net));
+  }
+  EXPECT_GT(runs[0].net->counters().delivered, 0);
+  EXPECT_GT(runs[0].detector->total_deadlocks(), 0);
 }
 
 TEST(StepEquivalence, IdleNetworkStepsDoNothing) {

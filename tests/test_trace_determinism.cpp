@@ -115,9 +115,10 @@ TEST(TraceDeterminism, TfarStreamPinned) {
   // MessageBlocked and CwgArcAdded/CwgArcRemoved come from the header-retry
   // loop, and the state pins cannot see their order. An adaptive run that
   // blocks, deadlocks and recovers pins the whole stream; a mismatch is a
-  // semantic change. The value is the one-shard engine's (transmit-start
-  // credits, per-(message, cycle) selection draws), which every shard count
-  // reproduces.
+  // change of the semantics or of the event order. The value is the
+  // one-shard engine's (transmit-start credits, per-(message, cycle)
+  // selection draws, request sets in routing-relation order; DESIGN.md
+  // §3h), which every shard count reproduces.
   for (const int shards : {0, 4}) {
     SCOPED_TRACE(shards);
     ExperimentConfig cfg;
@@ -143,7 +144,7 @@ TEST(TraceDeterminism, TfarStreamPinned) {
       h ^= static_cast<std::uint8_t>(byte);
       h *= 0x100000001b3ULL;
     }
-    EXPECT_EQ(h, 0x4d8aa9662abf829aULL);
+    EXPECT_EQ(h, 0xa8ef5a3a306b2020ULL);
     std::remove(path.c_str());
   }
 }
