@@ -57,6 +57,14 @@ class Cwg {
   /// Lookup by message id; nullptr when the message is not in the graph.
   [[nodiscard]] const CwgMessage* find_message(MessageId id) const;
 
+  /// Subgraph induced by `vcs` (distinct, e.g. a knot's VCs); vertex i
+  /// stands for vcs[i]. Costs O(|vcs| + their arcs), not O(num_vcs()): it
+  /// reuses an index owned by this graph, so calls on one Cwg must not run
+  /// concurrently.
+  [[nodiscard]] Digraph induced(std::span<const VcId> vcs) const {
+    return graph_.induced(vcs, induced_index_);
+  }
+
   /// Number of solid (ownership) and dashed (request) arcs.
   [[nodiscard]] int num_ownership_arcs() const noexcept { return ownership_arcs_; }
   [[nodiscard]] int num_request_arcs() const noexcept { return request_arcs_; }
@@ -84,6 +92,8 @@ class Cwg {
   int ownership_arcs_ = 0;
   int request_arcs_ = 0;
   int blocked_ = 0;
+  /// induced()'s VC -> subgraph vertex index; -1 everywhere between calls.
+  mutable std::vector<int> induced_index_;
 };
 
 }  // namespace flexnet

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 
 #include "core/scc.hpp"
 
@@ -22,7 +23,7 @@ namespace {
 /// keep explicit stacks, so path length is not bounded by the call stack.
 class JohnsonSearch {
  public:
-  JohnsonSearch(const Digraph& graph, const std::vector<int>& to_original,
+  JohnsonSearch(const Digraph& graph, std::span<const int> to_original,
                 std::int64_t cap, std::size_t store_limit,
                 CycleEnumeration& out)
       : graph_(graph),
@@ -202,7 +203,7 @@ class JohnsonSearch {
   };
 
   const Digraph& graph_;
-  const std::vector<int>& to_original_;
+  std::span<const int> to_original_;
   std::int64_t cap_;
   std::size_t store_limit_;
   CycleEnumeration& out_;
@@ -221,6 +222,68 @@ class JohnsonSearch {
   std::vector<int> max_in_;
 };
 
+/// Counts one cycle against the cap; true once the cap is reached.
+bool count_cycle(CycleEnumeration& out, std::int64_t cap) {
+  ++out.count;
+  if (out.count >= cap) out.capped = true;
+  return out.capped;
+}
+
+/// Series reduction of a strongly connected component without self-loops,
+/// for counting only (DESIGN.md §3e): bypasses every vertex with exactly one
+/// in-arc u -> v and one out-arc v -> w, so each maximal chain of such
+/// vertices becomes a single arc from the branch vertex before it to the one
+/// after it. Every simple cycle through a bypassed vertex uses both of its
+/// arcs, so the simple cycles of the result map one to one onto those of
+/// `comp`. The rules that keep it so:
+///   - an arc u -> w is added even when one exists; parallel arcs are
+///     distinct cycles and the search counts them separately;
+///   - a chain that returns to its own start (u == w) is a one-vertex cycle:
+///     it is counted into `out` here and not added, as the self-loop
+///     pre-count does;
+///   - a component whose every vertex can be bypassed is one ring: it is
+///     counted here and `comp` becomes empty.
+/// `comp` is replaced by the result (remaining vertices in ascending order),
+/// which is again strongly connected and free of self-loops. Returns whether
+/// any vertex was bypassed; stops early once `out` reaches the cap.
+bool series_reduce(Digraph& comp, std::int64_t cap, CycleEnumeration& out) {
+  const int n = comp.num_vertices();
+  std::vector<int> in_degree(static_cast<std::size_t>(n), 0);
+  for (int v = 0; v < n; ++v) {
+    for (const int w : comp.out(v)) ++in_degree[static_cast<std::size_t>(w)];
+  }
+  // kept[v]: v's vertex in the result, or -1 when v is bypassed.
+  std::vector<int> kept(static_cast<std::size_t>(n), -1);
+  int num_kept = 0;
+  for (int v = 0; v < n; ++v) {
+    if (in_degree[static_cast<std::size_t>(v)] != 1 || comp.out(v).size() != 1) {
+      kept[static_cast<std::size_t>(v)] = num_kept++;
+    }
+  }
+  if (num_kept == n) return false;
+  Digraph reduced(num_kept);
+  if (num_kept == 0) {
+    count_cycle(out, cap);
+  } else {
+    // Every chain ends at a kept vertex: a chain closed on itself would be a
+    // ring cut off from the component's kept vertices.
+    for (int u = 0; u < n && !out.capped; ++u) {
+      const int from = kept[static_cast<std::size_t>(u)];
+      if (from < 0) continue;
+      for (int w : comp.out(u)) {
+        while (kept[static_cast<std::size_t>(w)] < 0) w = comp.out(w).front();
+        if (w != u) {
+          reduced.add_edge(from, kept[static_cast<std::size_t>(w)]);
+        } else if (count_cycle(out, cap)) {
+          break;
+        }
+      }
+    }
+  }
+  comp = std::move(reduced);
+  return true;
+}
+
 }  // namespace
 
 CycleEnumeration enumerate_simple_cycles(const Digraph& graph, std::int64_t cap,
@@ -236,30 +299,60 @@ CycleEnumeration enumerate_simple_cycles(const Digraph& graph, std::int64_t cap,
   for (int v = 0; v < graph.num_vertices() && !result.capped; ++v) {
     for (const int w : graph.out(v)) {
       if (w != v) continue;
-      ++result.count;
       if (result.cycles.size() < store_limit) result.cycles.push_back({v});
-      if (result.count >= cap) {
-        result.capped = true;
-        break;
-      }
+      if (count_cycle(result, cap)) break;
     }
   }
   if (result.capped) return result;
 
   // Cycles never span SCCs; search each nontrivial component independently.
+  // Bucket the vertices by component, ascending within each, and note each
+  // vertex's position in its bucket: one O(V) pass for all components.
   const SccResult scc = strongly_connected_components(graph);
-  for (int comp = 0; comp < scc.num_components && !result.capped; ++comp) {
-    if (scc.size[static_cast<std::size_t>(comp)] < 2) continue;
-    const std::vector<int> members = scc.members(comp);
-    Digraph sub = graph.induced(members);
-    // Strip self-loops (already counted).
-    Digraph clean(sub.num_vertices());
-    for (int v = 0; v < sub.num_vertices(); ++v) {
-      for (const int w : sub.out(v)) {
-        if (w != v) clean.add_edge(v, w);
+  const auto n = static_cast<std::size_t>(graph.num_vertices());
+  const auto num_components = static_cast<std::size_t>(scc.num_components);
+  std::vector<int> first(num_components + 1, 0);
+  for (std::size_t c = 0; c < num_components; ++c) {
+    first[c + 1] = first[c] + scc.size[c];
+  }
+  std::vector<int> order(n);
+  std::vector<int> local(n);
+  std::vector<int> filled(num_components, 0);
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto c = static_cast<std::size_t>(scc.component[v]);
+    local[v] = filled[c]++;
+    order[static_cast<std::size_t>(first[c] + local[v])] = static_cast<int>(v);
+  }
+
+  for (std::size_t c = 0; c < num_components && !result.capped; ++c) {
+    if (scc.size[c] < 2) continue;
+    const std::span<const int> members(order.data() + first[c],
+                                       static_cast<std::size_t>(scc.size[c]));
+    // The component's own graph, self-loops (already counted) stripped.
+    Digraph sub(scc.size[c]);
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      for (const int w : graph.out(members[i])) {
+        if (w != members[i] && scc.component[static_cast<std::size_t>(w)] ==
+                                   static_cast<int>(c)) {
+          sub.add_edge(static_cast<int>(i), local[static_cast<std::size_t>(w)]);
+        }
       }
     }
-    JohnsonSearch search(clean, members, cap, store_limit, result);
+    if (store_limit > 0) {
+      // Materializing: the plain search, whose stored cycles are vertex
+      // sequences of `graph` in the search's own order.
+      JohnsonSearch search(sub, members, cap, store_limit, result);
+      search.run();
+      continue;
+    }
+    // Counting only: bypass chain vertices until none is left, so the search
+    // scales with the component's branch points, not its vertex count.
+    bool bypassed = true;
+    while (bypassed && !result.capped) {
+      bypassed = series_reduce(sub, cap, result);
+    }
+    if (result.capped || sub.num_vertices() < 2) continue;
+    JohnsonSearch search(sub, {}, cap, 0, result);
     search.run();
   }
   return result;

@@ -24,7 +24,10 @@ struct CycleEnumeration {
 };
 
 /// Counts elementary cycles of `graph`, stopping at `cap`. When
-/// `store_limit` > 0, that many cycles are also materialized.
+/// `store_limit` > 0, that many cycles are also materialized. A count-only
+/// call (`store_limit` == 0) first series-reduces each strongly connected
+/// component, replacing chains of one-in/one-out vertices by single arcs;
+/// `count` and `capped` are the same on both paths.
 [[nodiscard]] CycleEnumeration enumerate_simple_cycles(const Digraph& graph,
                                                        std::int64_t cap,
                                                        std::size_t store_limit = 0);

@@ -27,11 +27,33 @@ bool Digraph::has_edge(int from, int to) const noexcept {
 }
 
 Digraph Digraph::induced(std::span<const int> vertices) const {
-  Digraph sub(static_cast<int>(vertices.size()));
-  std::vector<int> index(static_cast<std::size_t>(num_vertices()), -1);
-  for (std::size_t i = 0; i < vertices.size(); ++i) {
-    index[static_cast<std::size_t>(vertices[i])] = static_cast<int>(i);
+  std::vector<int> index;
+  return induced(vertices, index);
+}
+
+Digraph Digraph::induced(std::span<const int> vertices,
+                         std::vector<int>& index) const {
+  if (index.size() < adj_.size()) index.resize(adj_.size(), -1);
+  // Puts back -1 at every entry this call set, on return and on a throw.
+  std::size_t filled = 0;
+  struct Reset {
+    std::span<const int> vertices;
+    const std::size_t& filled;
+    std::vector<int>& index;
+    ~Reset() {
+      for (const int v : vertices.first(filled)) {
+        index[static_cast<std::size_t>(v)] = -1;
+      }
+    }
+  } const reset{vertices, filled, index};
+  for (; filled < vertices.size(); ++filled) {
+    int& slot = index[static_cast<std::size_t>(vertices[filled])];
+    if (slot != -1) {
+      throw std::invalid_argument("Digraph::induced: vertex repeated");
+    }
+    slot = static_cast<int>(filled);
   }
+  Digraph sub(static_cast<int>(vertices.size()));
   for (std::size_t i = 0; i < vertices.size(); ++i) {
     for (const int to : out(vertices[i])) {
       const int mapped = index[static_cast<std::size_t>(to)];

@@ -29,9 +29,17 @@ class Digraph {
 
   [[nodiscard]] bool has_edge(int from, int to) const noexcept;
 
-  /// Subgraph induced by `vertices`; vertex i of the result corresponds to
-  /// vertices[i] in this graph.
+  /// Subgraph induced by `vertices` (distinct); vertex i of the result
+  /// corresponds to vertices[i] in this graph. Allocates an index the size of
+  /// this graph; the overload below reuses one.
   [[nodiscard]] Digraph induced(std::span<const int> vertices) const;
+
+  /// The same subgraph in time proportional to `vertices` and their arcs:
+  /// `index` (grown to num_vertices() with -1) maps this graph's vertices to
+  /// the result's. It must hold -1 at every entry on entry and holds -1
+  /// again on return; a repeated vertex throws std::invalid_argument.
+  [[nodiscard]] Digraph induced(std::span<const int> vertices,
+                                std::vector<int>& index) const;
 
  private:
   std::vector<std::vector<int>> adj_;

@@ -104,7 +104,7 @@ std::vector<Knot> find_knots(const Cwg& cwg) {
 
 CycleEnumeration knot_cycle_density(const Cwg& cwg, const Knot& knot,
                                     std::int64_t cap, std::size_t store_limit) {
-  const Digraph sub = cwg.graph().induced(knot.knot_vcs);
+  const Digraph sub = cwg.induced(knot.knot_vcs);
   CycleEnumeration result = enumerate_simple_cycles(sub, cap, store_limit);
   // Map stored cycle vertices back to the original VC ids.
   for (auto& cycle : result.cycles) {
@@ -134,7 +134,7 @@ std::uint64_t hash_combine(std::uint64_t h, std::uint64_t v) noexcept {
 }  // namespace
 
 std::uint64_t canonical_knot_hash(const Cwg& cwg, const Knot& knot) {
-  const Digraph sub = cwg.graph().induced(knot.knot_vcs);
+  const Digraph sub = cwg.induced(knot.knot_vcs);
   const int n = sub.num_vertices();
   if (n == 0) return mix64(0);
 

@@ -247,9 +247,9 @@ MessageId Network::enqueue_message(NodeId src, NodeId dst, std::int32_t length,
 }
 
 std::int64_t Network::queued_message_count() const noexcept {
-  std::int64_t total = 0;
-  for (const auto& q : source_queues_) total += static_cast<std::int64_t>(q.size());
-  return total;
+  // Each enqueue counts `generated` and each grant out of a source queue
+  // counts `injected` (shards add theirs at commit); neither is ever reset.
+  return counters_.generated - counters_.injected;
 }
 
 double Network::capacity_flits_per_node(double avg_distance) const noexcept {
@@ -449,6 +449,14 @@ void Network::check_invariants() const {
     if (buffered != msg.flits_sent - msg.flits_delivered) {
       invariant_failure("flit conservation broken");
     }
+  }
+
+  std::int64_t queued = 0;
+  for (const auto& queue : source_queues_) {
+    queued += static_cast<std::int64_t>(queue.size());
+  }
+  if (queued != queued_message_count()) {
+    invariant_failure("queued message count differs from the source queues");
   }
 
   // Pending entries are exactly the owned, unrouted heads.

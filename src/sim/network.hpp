@@ -161,7 +161,8 @@ class Network {
     for (const ShardCtx& ctx : shard_ctx_) epoch += ctx.epoch;
     return epoch;
   }
-  /// Messages still waiting in source queues.
+  /// Messages still waiting in source queues; O(1), from the counters
+  /// (check_invariants compares it with the queues).
   [[nodiscard]] std::int64_t queued_message_count() const noexcept;
   /// Messages waiting in one node's source queue.
   [[nodiscard]] std::size_t source_queue_length(NodeId node) const noexcept {

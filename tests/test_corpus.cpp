@@ -2,7 +2,9 @@
 // must decode, restore, and re-produce the recorded knot — same canonical
 // CWG hash, same deadlock/resource set sizes, same knot cycle density — when
 // detection is re-run on the restored network. This pins the snapshot format
-// AND the detector's verdict against regressions. A hand-built pair of
+// AND the detector's verdict against regressions. The count-only density
+// (series-reduced) must equal the plain search's on every corpus knot and on
+// every knot of a saturated 16-ary TFAR run. A hand-built pair of
 // hash-colliding knots pins how replay picks the recorded one and how the
 // corpus keeps both.
 #include <gtest/gtest.h>
@@ -14,6 +16,8 @@
 #include <vector>
 
 #include "core/cwg.hpp"
+#include "core/cycles.hpp"
+#include "core/detector.hpp"
 #include "core/knot.hpp"
 #include "exp/experiment.hpp"
 #include "metrics/metrics.hpp"
@@ -62,6 +66,81 @@ TEST(CommittedCorpus, EveryCaptureReplaysWithMatchingVerdict) {
     EXPECT_GE(snap.meta.knot_cycle_density, 1) << "capture recorded no density";
     EXPECT_EQ(replay.knot_cycle_density, snap.meta.knot_cycle_density);
   }
+}
+
+/// The plain search's density: a call that materializes cycles (here one)
+/// runs Johnson's search on the knot as it is, without the series reduction
+/// a count-only call applies first.
+CycleEnumeration plain_density(const Cwg& cwg, const Knot& knot,
+                               std::int64_t cap) {
+  return knot_cycle_density(cwg, knot, cap, 1);
+}
+
+TEST(CommittedCorpus, ReducedDensityMatchesPlainSearch) {
+  const std::vector<std::string> files = corpus_files();
+  ASSERT_FALSE(files.empty());
+  for (const std::string& path : files) {
+    SCOPED_TRACE(path);
+    const Snapshot snap = read_snapshot_file(path);
+    const RestoredSim sim = restore_snapshot(snap);
+    const Cwg cwg = Cwg::from_network(*sim.net);
+    const std::int64_t cap = snap.detector.knot_density_cap;
+    bool recorded_seen = false;
+    for (const Knot& knot : find_knots(cwg)) {
+      const CycleEnumeration reduced = knot_cycle_density(cwg, knot, cap);
+      const CycleEnumeration plain = plain_density(cwg, knot, cap);
+      EXPECT_EQ(reduced.count, plain.count);
+      EXPECT_EQ(reduced.capped, plain.capped);
+      if (canonical_knot_hash(cwg, knot) == snap.meta.cwg_hash &&
+          static_cast<int>(knot.knot_vcs.size()) == snap.meta.knot_size) {
+        EXPECT_EQ(plain.count, snap.meta.knot_cycle_density);
+        recorded_seen = true;
+      }
+    }
+    EXPECT_TRUE(recorded_seen);
+  }
+}
+
+/// Recomputes every confirmed knot's density with the plain search and
+/// compares it with the detector's count-only record.
+struct PlainDensityCheck : KnotCaptureHook {
+  std::int64_t cap = 0;
+  int knots = 0;
+  int multi_cycle = 0;
+  std::size_t largest = 0;
+
+  void on_knot(const Network&, const Cwg& cwg, const Knot& knot,
+               const DeadlockRecord& record) override {
+    const CycleEnumeration plain = plain_density(cwg, knot, cap);
+    EXPECT_EQ(record.knot_cycle_density, plain.count) << "at knot " << knots;
+    EXPECT_EQ(record.density_capped, plain.capped) << "at knot " << knots;
+    ++knots;
+    if (plain.count > 1) ++multi_cycle;
+    largest = std::max(largest, knot.knot_vcs.size());
+  }
+};
+
+TEST(KnotDensity, ReducedCountMatchesPlainSearchOnSaturatedTfarRun) {
+  // The paper16 recipe's saturated point: a 16-ary 2-cube, TFAR, 1 VC, at
+  // load 0.5, where knots are hundreds of chained VCs around branch points.
+  ExperimentConfig cfg;
+  cfg.sim.topology.k = 16;
+  cfg.sim.topology.n = 2;
+  cfg.sim.vcs = 1;
+  cfg.sim.routing = RoutingKind::TFAR;
+  cfg.traffic.load = 0.5;
+  Simulation sim(cfg);
+  PlainDensityCheck check;
+  check.cap = cfg.detector.knot_density_cap;
+  sim.detector().set_capture(&check);
+  for (Cycle i = 0; i < 3000; ++i) {
+    sim.injection().tick(sim.network());
+    sim.network().step();
+    sim.detector().tick(sim.network());
+  }
+  EXPECT_GE(check.knots, 10);
+  EXPECT_GT(check.multi_cycle, 0);
+  EXPECT_GE(check.largest, 100u);
 }
 
 TEST(CommittedCorpus, MutatedDensityDoesNotReplay) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "exp/experiment.hpp"
 
@@ -37,6 +38,26 @@ TEST(Cwg, OwnerTracking) {
   ASSERT_NE(cwg.find_message(7), nullptr);
   EXPECT_EQ(cwg.find_message(7)->held.size(), 2u);
   EXPECT_EQ(cwg.find_message(99), nullptr);
+}
+
+TEST(Cwg, InducedSubgraphsReuseOneIndex) {
+  // Two messages waiting on each other, plus a bystander: each selection
+  // gives the same subgraph as Digraph::induced, call after call.
+  const Cwg cwg(6, {{.id = 1, .held = {0, 2}, .requests = {4}},
+                    {.id = 2, .held = {4, 5}, .requests = {0}},
+                    {.id = 3, .held = {1, 3}, .requests = {}}});
+  const std::vector<VcId> knot{0, 2, 4, 5};
+  for (int pass = 0; pass < 2; ++pass) {
+    const Digraph sub = cwg.induced(knot);
+    EXPECT_EQ(sub.num_edges(), 4);
+    EXPECT_TRUE(sub.has_edge(0, 1));
+    EXPECT_TRUE(sub.has_edge(1, 2));
+    EXPECT_TRUE(sub.has_edge(2, 3));
+    EXPECT_TRUE(sub.has_edge(3, 0));
+    const Digraph other = cwg.induced(std::vector<VcId>{3, 1});
+    EXPECT_EQ(other.num_edges(), 1);
+    EXPECT_TRUE(other.has_edge(1, 0));
+  }
 }
 
 TEST(Cwg, RejectsDoubleOwnership) {

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "core/scc.hpp"
 #include "util/rng.hpp"
 
 namespace flexnet {
@@ -80,6 +82,98 @@ Digraph random_multigraph(Pcg32& rng, int index) {
     if (rng.bounded(5) == 0) g.add_edge(a, b);  // some parallel arcs
   }
   return g;
+}
+
+/// `g` with every arc replaced by a chain through 0-4 fresh vertices, as the
+/// ownership arcs of a worm chain its VCs between the CWG's branch points.
+/// Fresh vertices are numbered after g's, in the order of g's arcs.
+Digraph subdivided(const Digraph& g, Pcg32& rng) {
+  struct Arc {
+    int from;
+    int to;
+    int inner;
+  };
+  std::vector<Arc> arcs;
+  int n = g.num_vertices();
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    for (const int w : g.out(v)) {
+      arcs.push_back({v, w, static_cast<int>(rng.bounded(5))});
+      n += arcs.back().inner;
+    }
+  }
+  Digraph h(n);
+  int next = g.num_vertices();
+  for (const Arc& arc : arcs) {
+    int at = arc.from;
+    for (int i = 0; i < arc.inner; ++i) {
+      h.add_edge(at, next);
+      at = next++;
+    }
+    h.add_edge(at, arc.to);
+  }
+  return h;
+}
+
+/// What one series-reduction pass meets in `g`, found independently of the
+/// enumerator: chains that close on their own start vertex, two arcs of one
+/// branch vertex ending at the same branch vertex with at least one of them
+/// through a chain, and components that are one ring. (A chain vertex has
+/// one in-arc and one out-arc inside its component, neither a self-loop.)
+struct ReductionCases {
+  int self_loop_closures = 0;
+  int parallel_bypasses = 0;
+  int rings = 0;
+};
+
+ReductionCases reduction_cases(const Digraph& g) {
+  const SccResult scc = strongly_connected_components(g);
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  const auto inside = [&](int v, int w) {
+    return v != w && scc.component[static_cast<std::size_t>(v)] ==
+                         scc.component[static_cast<std::size_t>(w)];
+  };
+  std::vector<int> in_degree(n, 0);
+  std::vector<int> out_degree(n, 0);
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    for (const int w : g.out(v)) {
+      if (!inside(v, w)) continue;
+      ++out_degree[static_cast<std::size_t>(v)];
+      ++in_degree[static_cast<std::size_t>(w)];
+    }
+  }
+  const auto chain = [&](int v) {
+    return in_degree[static_cast<std::size_t>(v)] == 1 &&
+           out_degree[static_cast<std::size_t>(v)] == 1;
+  };
+  const auto next_inside = [&](int v) {
+    for (const int w : g.out(v)) {
+      if (inside(v, w)) return w;
+    }
+    return -1;
+  };
+
+  ReductionCases cases;
+  std::vector<bool> ring(static_cast<std::size_t>(scc.num_components), true);
+  for (int v = 0; v < g.num_vertices(); ++v) {
+    const int c = scc.component[static_cast<std::size_t>(v)];
+    if (!chain(v)) ring[static_cast<std::size_t>(c)] = false;
+    if (chain(v) || scc.size[static_cast<std::size_t>(c)] < 2) continue;
+    std::vector<std::pair<int, bool>> ends;  // (end vertex, through a chain)
+    for (int w : g.out(v)) {
+      if (!inside(v, w)) continue;
+      const bool bypass = chain(w);
+      while (chain(w)) w = next_inside(w);
+      if (bypass && w == v) ++cases.self_loop_closures;
+      for (const auto& [end, through] : ends) {
+        if (end == w && (bypass || through)) ++cases.parallel_bypasses;
+      }
+      ends.emplace_back(w, bypass);
+    }
+  }
+  for (int c = 0; c < scc.num_components; ++c) {
+    if (ring[static_cast<std::size_t>(c)]) ++cases.rings;
+  }
+  return cases;
 }
 
 bool has_parallel_arcs(const Digraph& g) {
@@ -281,7 +375,11 @@ TEST(Cycles, MatchesBruteForceOracleOnRandomMultigraphs) {
     }
 
     // Caps around the true total: the count stops exactly at the cap, and
-    // the result is capped iff the total reaches it.
+    // the result is capped iff the total reaches it, on the materializing
+    // path and on the count-only (series-reduced) one.
+    const CycleEnumeration counted = enumerate_simple_cycles(g, 100000);
+    EXPECT_EQ(counted.count, total);
+    EXPECT_FALSE(counted.capped);
     for (const std::int64_t cap :
          {std::int64_t{1}, total / 2, total - 1, total, total + 1}) {
       if (cap < 1) continue;
@@ -290,8 +388,88 @@ TEST(Cycles, MatchesBruteForceOracleOnRandomMultigraphs) {
       EXPECT_EQ(r.count, std::min(total, cap));
       EXPECT_EQ(r.capped, total >= cap);
       EXPECT_EQ(r.cycles.size(), std::min<std::size_t>(4, static_cast<std::size_t>(r.count)));
+      const CycleEnumeration c = enumerate_simple_cycles(g, cap);
+      EXPECT_EQ(c.count, std::min(total, cap));
+      EXPECT_EQ(c.capped, total >= cap);
+      EXPECT_TRUE(c.cycles.empty());
     }
   }
+}
+
+TEST(Cycles, CountOnlyMatchesBruteForceOracleOnChainSubdividedMultigraphs) {
+  // The random multigraphs above with every arc drawn out into a chain, so
+  // series reduction has chains to bypass: chains closing into self-loops,
+  // parallel chains, and components that reduce to one ring all occur.
+  Pcg32 rng(2025);
+  ReductionCases seen;
+  for (int i = 0; i < 400; ++i) {
+    SCOPED_TRACE(i);
+    const Digraph g = subdivided(random_multigraph(rng, i), rng);
+    const ReductionCases cases = reduction_cases(g);
+    seen.self_loop_closures += cases.self_loop_closures;
+    seen.parallel_bypasses += cases.parallel_bypasses;
+    seen.rings += cases.rings;
+    const auto total = static_cast<std::int64_t>(brute_force_cycles(g).size());
+
+    const CycleEnumeration counted = enumerate_simple_cycles(g, 100000);
+    EXPECT_EQ(counted.count, total);
+    EXPECT_FALSE(counted.capped);
+    EXPECT_EQ(enumerate_simple_cycles(g, 100000, 1).count, total);
+    for (const std::int64_t cap :
+         {std::int64_t{1}, total / 2, total - 1, total, total + 1}) {
+      if (cap < 1) continue;
+      SCOPED_TRACE(cap);
+      const CycleEnumeration c = enumerate_simple_cycles(g, cap);
+      EXPECT_EQ(c.count, std::min(total, cap));
+      EXPECT_EQ(c.capped, total >= cap);
+    }
+  }
+  EXPECT_GT(seen.self_loop_closures, 0);
+  EXPECT_GT(seen.parallel_bypasses, 0);
+  EXPECT_GT(seen.rings, 0);
+}
+
+TEST(Cycles, CountOnlyChainsClosingOnTheirStartAreCycles) {
+  // Branch vertex 0 with two chains that each return to it: two cycles,
+  // both self-loops once the chains are bypassed. A cap of 1 stops on the
+  // first of them.
+  Digraph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(2, 0);
+  g.add_edge(0, 3);
+  g.add_edge(3, 0);
+  EXPECT_EQ(enumerate_simple_cycles(g, 1000).count, 2);
+  const CycleEnumeration capped = enumerate_simple_cycles(g, 1);
+  EXPECT_EQ(capped.count, 1);
+  EXPECT_TRUE(capped.capped);
+}
+
+TEST(Cycles, CountOnlyParallelChainsAreDistinctCycles) {
+  // 0 -> 2 directly and through chains 1 and 3, then back through chain 4:
+  // three arcs 0 -> 2 after the bypass, three cycles.
+  Digraph g(5);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(0, 3);
+  g.add_edge(3, 2);
+  g.add_edge(0, 2);
+  g.add_edge(2, 4);
+  g.add_edge(4, 0);
+  EXPECT_EQ(enumerate_simple_cycles(g, 1000).count, 3);
+  EXPECT_EQ(enumerate_simple_cycles(g, 1000, 10).count, 3);
+}
+
+TEST(Cycles, CountOnlyRingCountsOnce) {
+  // Every vertex is a chain vertex: the component is one ring.
+  Digraph g(5);
+  for (int i = 0; i < 5; ++i) g.add_edge(i, (i + 1) % 5);
+  const CycleEnumeration r = enumerate_simple_cycles(g, 1000);
+  EXPECT_EQ(r.count, 1);
+  EXPECT_FALSE(r.capped);
+  const CycleEnumeration capped = enumerate_simple_cycles(g, 1);
+  EXPECT_EQ(capped.count, 1);
+  EXPECT_TRUE(capped.capped);
 }
 
 // Goldens: the stored-cycle sequence recorded from the recursive search
@@ -347,6 +525,10 @@ TEST(Cycles, GoldenOrderOnChainHeavyKnot) {
   EXPECT_EQ(r.count, 11);
   EXPECT_FALSE(r.capped);
   EXPECT_EQ(r.cycles, golden);
+  // The count-only path bypasses the chains and counts the same cycles.
+  const CycleEnumeration counted = enumerate_simple_cycles(g, 100000);
+  EXPECT_EQ(counted.count, 11);
+  EXPECT_FALSE(counted.capped);
 }
 
 TEST(Cycles, LongRingNeedsNoDeepStack) {

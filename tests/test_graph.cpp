@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -64,6 +65,45 @@ TEST(Digraph, InducedEmptySelection) {
   const Digraph sub = g.induced(std::vector<int>{});
   EXPECT_EQ(sub.num_vertices(), 0);
   EXPECT_EQ(sub.num_edges(), 0);
+}
+
+TEST(Digraph, InducedWithIndexMatchesAndLeavesIndexClean) {
+  Digraph g(6);
+  g.add_edge(5, 1);
+  g.add_edge(1, 3);
+  g.add_edge(3, 5);
+  g.add_edge(3, 3);
+  g.add_edge(3, 5);  // parallel arcs survive
+  g.add_edge(1, 0);  // 0 excluded below
+
+  // The caller's index may start short; it is grown with -1, and every
+  // entry is -1 again afterwards, so the next selection reuses it as is.
+  std::vector<int> index;
+  const std::vector<int> keep{5, 1, 3};
+  const Digraph sub = g.induced(keep, index);
+  EXPECT_EQ(index, std::vector<int>(6, -1));
+  const Digraph plain = g.induced(keep);
+  ASSERT_EQ(sub.num_vertices(), plain.num_vertices());
+  for (int v = 0; v < sub.num_vertices(); ++v) {
+    EXPECT_TRUE(std::equal(sub.out(v).begin(), sub.out(v).end(),
+                           plain.out(v).begin(), plain.out(v).end()));
+  }
+  EXPECT_EQ(sub.num_edges(), 5);
+
+  const Digraph pair = g.induced(std::vector<int>{0, 1}, index);
+  EXPECT_EQ(pair.num_edges(), 1);
+  EXPECT_TRUE(pair.has_edge(1, 0));
+  EXPECT_EQ(index, std::vector<int>(6, -1));
+}
+
+TEST(Digraph, InducedRejectsRepeatedVertexAndStaysClean) {
+  Digraph g(4);
+  g.add_edge(0, 1);
+  std::vector<int> index;
+  EXPECT_THROW((void)g.induced(std::vector<int>{2, 0, 2}, index),
+               std::invalid_argument);
+  EXPECT_EQ(index, std::vector<int>(4, -1));
+  EXPECT_THROW((void)g.induced(std::vector<int>{1, 1}), std::invalid_argument);
 }
 
 }  // namespace
