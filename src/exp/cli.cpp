@@ -14,6 +14,26 @@ namespace {
   throw std::invalid_argument(std::string("unknown ") + what + ": " +
                               std::string(name));
 }
+
+// Every option sweep_cli reads: experiment_from_options, loads_from_options
+// and the outputs sweep_cli writes itself (--csv, --label,
+// --route-table-dump; --profile and --heatmap-ascii are read by both).
+constexpr std::string_view kSweepOptions[] = {
+    "topology", "k", "n", "uni", "mesh", "nodes", "degree", "df-routers",
+    "df-globals", "topo-seed", "route-table", "vcs", "buffer", "ivcs", "evcs",
+    "length", "short-length", "short-fraction", "routing", "selection",
+    "misroutes", "faults", "queue-limit", "seed", "traffic", "load",
+    "hotspots", "hotspot-fraction", "hybrid", "hybrid-fraction", "workload",
+    "capture-trace", "interval", "recovery", "no-quiescence", "count-cycles",
+    "cycle-cap", "livelock-limit", "detector-full-rebuild", "warmup",
+    "measure", "check", "step-dense", "shards", "trace-ring", "trace-chrome",
+    "trace-bin", "forensics", "forensics-dot", "telemetry",
+    "telemetry-interval", "telemetry-ring", "telemetry-json", "heatmap",
+    "metrics-collect", "metrics", "metrics-interval", "warn-threshold",
+    "warn-stall-ref", "checkpoint-every", "checkpoint-dir", "resume",
+    "capture-deadlocks", "capture-limit", "profile", "heatmap-ascii",
+    "loads", "load-min", "load-max", "load-steps", "csv", "label",
+    "route-table-dump"};
 }  // namespace
 
 RoutingKind parse_routing(std::string_view name) {
@@ -64,6 +84,7 @@ TopoKind parse_topology(std::string_view name) {
 }
 
 ExperimentConfig experiment_from_options(const Options& opts) {
+  opts.reject_unknown(kSweepOptions);
   ExperimentConfig cfg;
 
   // --topology selects the family; "mesh" is torus shorthand for wrap=false,
@@ -139,6 +160,10 @@ ExperimentConfig experiment_from_options(const Options& opts) {
   cfg.workload.capture_path = opts.get("capture-trace");
 
   cfg.detector.interval = opts.get_int("interval", cfg.detector.interval);
+  // DetectorConfig reads interval 0 as "never detect"; a sweep always does.
+  if (cfg.detector.interval < 1) {
+    throw std::invalid_argument("--interval must be >= 1");
+  }
   cfg.detector.recovery = parse_recovery(opts.get("recovery", "RemoveOldest"));
   cfg.detector.require_quiescence = !opts.get_bool("no-quiescence", false);
   cfg.detector.count_total_cycles = opts.get_bool("count-cycles", false);
@@ -149,7 +174,12 @@ ExperimentConfig experiment_from_options(const Options& opts) {
   cfg.detector.full_rebuild = opts.get_bool("detector-full-rebuild", false);
 
   cfg.run.warmup = opts.get_int("warmup", cfg.run.warmup);
+  if (cfg.run.warmup < 0) throw std::invalid_argument("--warmup must be >= 0");
   cfg.run.measure = opts.get_int("measure", cfg.run.measure);
+  // An empty window has no throughput to report.
+  if (cfg.run.measure < 1) {
+    throw std::invalid_argument("--measure must be >= 1");
+  }
   cfg.run.check_invariants = opts.get_bool("check", false);
   cfg.run.step_dense = opts.get_bool("step-dense", false);
 

@@ -35,7 +35,9 @@ namespace flexnet {
 ///   --forensics-dot PREFIX
 ///   --telemetry --telemetry-interval N --telemetry-ring N
 ///   --telemetry-json FILE --heatmap FILE --profile --heatmap-ascii
-/// Unspecified options keep the paper's defaults.
+/// Unspecified options keep the paper's defaults. Throws
+/// std::invalid_argument naming the option for any option sweep_cli does
+/// not read, for --interval < 1, --warmup < 0 and --measure < 1.
 [[nodiscard]] ExperimentConfig experiment_from_options(const Options& opts);
 
 /// Parses a comma-separated load list ("0.1,0.2,0.5") or, when absent, an

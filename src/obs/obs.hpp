@@ -168,8 +168,7 @@ class ObsCollector {
   void finalize(const Network& net, const DeadlockDetector& detector);
 
   // --- hot-path hook (call site in Network is null-guarded) ----------------
-  void on_delivery(Cycle latency, std::int32_t hops, MessageClass cls) noexcept {
-    (void)hops;
+  void on_delivery(Cycle latency, MessageClass cls) noexcept {
     latency_hist_.record(latency);
     class_latency_hist_[class_index(cls)].record(latency);
   }

@@ -12,7 +12,7 @@ FlitFifo::FlitFifo(int capacity) {
   slots_.resize(static_cast<std::size_t>(capacity));
 }
 
-void FlitFifo::push(Flit flit) {
+void FlitFifo::push(const Flit& flit) {
   assert(!full());
   const int tail = (head_ + count_) % capacity();
   slots_[static_cast<std::size_t>(tail)] = flit;

@@ -20,7 +20,7 @@ class FlitFifo {
   [[nodiscard]] bool full() const noexcept { return count_ == capacity(); }
 
   /// Precondition: !full().
-  void push(Flit flit);
+  void push(const Flit& flit);
   /// Precondition: !empty().
   Flit pop();
   /// Precondition: !empty().

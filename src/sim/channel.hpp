@@ -12,10 +12,12 @@ namespace flexnet {
 struct VcState {
   VcId id = kInvalidVc;
   ChannelId channel = kInvalidChannel;
-  /// Cycle in which the one-shard transmit sweep last popped a flit from
-  /// this VC (-1: never). The sweep adds that flit back to read the
-  /// occupancy the VC had when transmit began (DESIGN.md §3j). The VC's
-  /// position within its physical channel is `id - phys(channel).first_vc`.
+  /// Cycle in which transmit last popped a flit from this VC (-1: never),
+  /// written by every pop. A decision adds that flit back to read the
+  /// occupancy the VC had when transmit began; only the one-shard walk,
+  /// which decides after earlier pops, can see this cycle's stamp
+  /// (DESIGN.md §3j). The VC's position within its physical channel is
+  /// `id - phys(channel).first_vc`.
   Cycle popped_at = -1;
 
   MessageId owner = kInvalidMessage;

@@ -299,7 +299,7 @@ void Network::complete_delivery(Message& msg, VcState& eject_vc) {
   ++counters_.class_delivered[class_index(msg.cls)];
   counters_.class_latency_sum[class_index(msg.cls)] += msg.finished - msg.created;
   if (hooks_.obs != nullptr) {
-    hooks_.obs->on_delivery(msg.finished - msg.created, msg.hops, msg.cls);
+    hooks_.obs->on_delivery(msg.finished - msg.created, msg.cls);
   }
   if (hooks_.tracer != nullptr) {
     trace(TraceEventKind::VcFreed, msg.id, eject_vc.id);

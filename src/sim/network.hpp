@@ -198,8 +198,9 @@ class Network {
   /// Every shard count produces byte-identical state, traces, counters and
   /// snapshots: transmit grants buffer space against the occupancy a VC had
   /// when transmit began (a one-cycle credit return), and adaptive selection
-  /// draws from a per-(message, cycle) hash stream (DESIGN.md §3j). One
-  /// shard runs transmit as a single sweep, more run decide/pop/push.
+  /// draws from a per-(message, cycle) hash stream (DESIGN.md §3j). Every
+  /// shard count moves flits through the same decide/pop/push steps: one
+  /// shard per channel in one walk, more in barrier-separated passes.
   /// Throws std::invalid_argument for shards > nodes and for more than one
   /// shard while the dense sweep is active (the oracles compose with the
   /// event core, not with each other).
@@ -340,20 +341,24 @@ class Network {
   void acquire_vc(Message& msg, VcState& from, VcState& target,
                   std::uint64_t trace_key, ShardCtx& ctx);
   void commit_route();
-  // Transmit against transmit-start state: one sweep with one shard,
-  // decide/pop/push with more.
+  // Transmit against transmit-start state, in three steps that every shard
+  // count runs: one shard calls them channel by channel in one walk, more
+  // run each as a pass. They are force-inlined, so the one-shard walk is
+  // one loop body with no calls (DESIGN.md §3j).
   void transmit_phase();
-  void transmit_sweep(ShardCtx& ctx);
-  void transmit_channel(PhysChannel& pc, ShardCtx& ctx);
   /// Fills `move` with `pc`'s round-robin winner; false when no VC can move.
-  [[nodiscard]] bool decide_move(const PhysChannel& pc, ShardMove& move) const;
+  /// Reads only; `pc` is mutable because `move` points into it.
+  [[gnu::always_inline]] [[nodiscard]] inline bool decide_move(
+      PhysChannel& pc, ShardMove& move);
+  /// Takes the move's flit from its upstream VC and stamps the VC popped.
+  [[gnu::always_inline]] inline void pop_move(ShardMove& move);
+  /// Lands the move's flit downstream. `kInline` (one shard) applies every
+  /// effect at once; otherwise the effects that can reach another shard go
+  /// to `ctx` for commit_transmit.
+  template <bool kInline>
+  [[gnu::always_inline]] inline void push_move(const ShardMove& move,
+                                               ShardCtx& ctx);
   void transmit_decide_shard(ShardCtx& ctx);
-  void transmit_pop_shard(ShardCtx& ctx);
-  void transmit_push_shard(ShardCtx& ctx);
-  void push_move(const ShardMove& move, ShardCtx& ctx);
-  /// Schedules `ch` for transmit from a push: directly when `ctx` owns it,
-  /// through the outbox otherwise.
-  void wake_from_transmit(ChannelId ch, ShardCtx& ctx);
   void commit_transmit();
   /// Buffers a trace event (no-op without a tracer); emitted at phase commit
   /// in ascending key order.

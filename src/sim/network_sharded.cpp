@@ -18,12 +18,13 @@
 //    owns (the cross-shard writes, `from.route_out` in acquire and the
 //    header's dormant byte, target the header's own VC, which no other
 //    shard touches this phase);
-//  * with two or more shards transmit is split decide/pop/push: T1 is
-//    read-only against transmit-start state, T2 performs the pops (each VC
-//    has a unique downstream mover), T3 performs the pushes (each VC is
-//    pushed only by its own channel), so no FlitFifo is ever touched by two
-//    threads in the same sub-phase. One shard fuses the three into a single
-//    ascending sweep that reaches the same decisions (transmit_sweep).
+//  * transmit runs the same decide/pop/push steps for every shard count.
+//    With two or more shards each is a pass: T1 is read-only against
+//    transmit-start state, T2 performs the pops (each VC has a unique
+//    downstream mover), T3 performs the pushes (each VC is pushed only by
+//    its own channel), so no FlitFifo is ever touched by two threads in the
+//    same sub-phase. One shard runs the three per channel in one ascending
+//    walk, which reaches the same moves.
 //
 // Two rules make the semantics independent of shard count and visit order.
 // Transmit grants buffer space against the occupancy a VC had when transmit
@@ -538,112 +539,47 @@ void Network::commit_route() {
 
 // --- transmit --------------------------------------------------------------
 
-void Network::transmit_phase() {
-  if (shard_ctx_.size() == 1) {
-    transmit_sweep(shard_ctx_.front());
-    return;
-  }
-  pool_->run([this](std::size_t s) { transmit_decide_shard(shard_ctx_[s]); });
-  pool_->run([this](std::size_t s) { transmit_pop_shard(shard_ctx_[s]); });
-  pool_->run([this](std::size_t s) { transmit_push_shard(shard_ctx_[s]); });
-  commit_transmit();
-}
-
-bool Network::decide_move(const PhysChannel& pc, ShardMove& move) const {
-  // Runs before any pop of this transmit phase, so full() is the
-  // transmit-start occupancy.
-  for (int j = 0; j < pc.num_vcs; ++j) {
-    int idx = pc.rr_cursor + j;
-    if (idx >= pc.num_vcs) idx -= pc.num_vcs;
-    const VcState& w = vcs_[static_cast<std::size_t>(pc.first_vc + idx)];
-    if (w.is_free() || w.buffer.full()) continue;
-    if (pc.kind == ChannelKind::Injection) {
-      const Message& msg = messages_[static_cast<std::size_t>(w.owner)];
-      if (msg.flits_sent >= msg.length) continue;
-      move.upstream = kInvalidVc;  // the flit is synthesized from the source
-    } else {
-      // Network and ejection channels pull from the feeding upstream VC.
-      if (w.route_in == kInvalidVc) continue;
-      const VcState& u = vcs_[static_cast<std::size_t>(w.route_in)];
-      if (u.buffer.empty() || u.buffer.front().arrived >= now_) continue;
-      move.upstream = u.id;
-    }
-    move.channel = pc.id;
-    move.dst_vc = w.id;
-    move.rr_index = idx;
-    return true;
-  }
-  return false;
-}
-
-// The one-shard transmit: one ascending sweep that decides, pops and pushes
-// channel by channel, without the three barrier-separated passes. It reaches
-// exactly the decisions decide/pop/push reaches, because every input of a
-// channel's decision still has its transmit-start value when the sweep gets
-// there:
+// Every shard count moves flits through the same three steps: decide_move
+// picks a channel's round-robin winner against transmit-start state,
+// pop_move takes the flit from the upstream VC, push_move lands it
+// downstream. With two or more shards each step is a pass over all of a
+// shard's channels, with a pool barrier between passes, so that no FlitFifo
+// is popped and pushed at once; the push pass buffers every effect that can
+// reach another shard. One shard runs the three steps channel by channel in
+// one ascending walk and applies every effect at once. Both reach the same
+// moves, because every input of a channel's decision still has its
+// transmit-start value when the walk gets there:
 //  * a VC is popped during transmit only by its single downstream channel
 //    (route_out is unique), at most once; only its own channel pushes into
-//    it, and that channel reads the stamp before it pushes, so size() plus
-//    the popped-this-phase stamp is its transmit-start occupancy;
+//    it, and that channel decides before it pushes, so size() plus the
+//    popped-this-phase stamp is its transmit-start occupancy;
 //  * the upstream side needs no stamp: a flit pushed this phase has
 //    arrived == now_, which the decision refuses, and only this channel
 //    pops that VC;
 //  * ownership and route links change in transmit only when a tail leaves,
 //    and a VC whose tail already arrived has no route_in to pull through;
-//  * deliver's ejection pops happen before transmit, so both paths see them.
-// A channel woken ahead of the cursor is visited in the same sweep, finds no
-// move (it had no work when transmit began) and is re-checked next cycle, so
-// the wakeup sets stay the supersets decide/pop/push keeps. The sweep is
-// written out in one function rather than through decide_move and
-// push_move: it is the hottest loop of transmit-bound runs, and the
-// call-per-step form measured ~15% slower end to end on a 32k-router run.
-void Network::transmit_sweep(ShardCtx& ctx) {
-  for (std::int32_t ch = ctx.chan_active.first(); ch != -1;
-       ch = ctx.chan_active.next_after(ch)) {
-    transmit_channel(phys_[static_cast<std::size_t>(ch)], ctx);
-  }
-}
+//  * deliver's ejection pops happen before transmit, so both see them.
+// A channel woken ahead of the walk's cursor is visited in the same walk,
+// finds no move (it had no work when transmit began) and is re-checked next
+// cycle, so the wakeup sets stay the supersets the passes keep.
 
-void Network::transmit_channel(PhysChannel& pc, ShardCtx& ctx) {
-  bool moved = false;
+bool Network::decide_move(PhysChannel& pc, ShardMove& move) {
   if (pc.kind == ChannelKind::Injection) {
     for (int j = 0; j < pc.num_vcs; ++j) {
       int idx = pc.rr_cursor + j;
       if (idx >= pc.num_vcs) idx -= pc.num_vcs;
       VcState& w = vcs_[static_cast<std::size_t>(pc.first_vc + idx)];
       if (w.is_free() || w.full_at_transmit_start(now_)) continue;
-      Message& msg = messages_[static_cast<std::size_t>(w.owner)];
+      const Message& msg = messages_[static_cast<std::size_t>(w.owner)];
       if (msg.flits_sent >= msg.length) continue;
-      Flit flit;
-      flit.message = msg.id;
-      flit.seq = msg.flits_sent++;
-      flit.arrived = now_;
-      w.buffer.push(flit);
-      if (flit.is_head()) {
-        pending_.push_back(w.id);
-        dormant_[static_cast<std::size_t>(w.id)] = 0;
-      }
-      if (w.route_out != kInvalidVc) {
-        // A routed head is already downstream; feed its channel.
-        ctx.chan_active.insert(
-            vcs_[static_cast<std::size_t>(w.route_out)].channel);
-      }
-      if (hooks_.heatmap != nullptr) hooks_.heatmap->on_traversal(pc.id, w.id);
-      if (hooks_.tracer != nullptr) {
-        trace(TraceEventKind::FlitInjected, msg.id, w.id, kInvalidVc,
-              flit.seq);
-      }
-      pc.rr_cursor = idx + 1 == pc.num_vcs ? 0 : idx + 1;
-      moved = true;
-      break;
+      move.channel = &pc;
+      move.dst = &w;
+      move.upstream = nullptr;  // the flit is synthesized from the source
+      move.rr_index = idx;
+      return true;
     }
-    // A channel that just moved a flit stays scheduled (it is revisited and
-    // re-checked next cycle anyway); only a fruitless visit pays the full
-    // work scan to decide whether to deschedule.
-    if (!moved && !transmit_work_possible(pc)) ctx.chan_active.erase(pc.id);
-    return;
+    return false;
   }
-
   // Network and ejection channels pull from the feeding upstream VC.
   for (int j = 0; j < pc.num_vcs; ++j) {
     int idx = pc.rr_cursor + j;
@@ -655,46 +591,144 @@ void Network::transmit_channel(PhysChannel& pc, ShardCtx& ctx) {
     }
     VcState& u = vcs_[static_cast<std::size_t>(w.route_in)];
     if (u.buffer.empty() || u.buffer.front().arrived >= now_) continue;
-    u.popped_at = now_;
-    Flit flit = u.buffer.pop();
-    assert(flit.message == w.owner);
-    ctx.chan_active.insert(u.channel);  // freed buffer space upstream
-    Message& msg = messages_[static_cast<std::size_t>(flit.message)];
-    const bool tail_left_upstream = flit.is_tail_of(msg.length);
-    if (tail_left_upstream) {
-      assert(!msg.held.empty() && msg.held.front() == u.id);
-      msg.held.erase(msg.held.begin());
-      // A blocked header's memo key moved with its held chain: wake it.
-      if (msg.blocked) dormant_[static_cast<std::size_t>(msg.held.back())] = 0;
-      if (watched_[static_cast<std::size_t>(u.id)] != 0) wake_requesters(u.id);
-      u.release();
-      w.route_in = kInvalidVc;  // no further flits arrive from upstream
-      ++ctx.epoch;  // oldest solid arc retired, VC ownership vacated
+    move.channel = &pc;
+    move.dst = &w;
+    move.upstream = &u;
+    move.rr_index = idx;
+    return true;
+  }
+  return false;
+}
+
+void Network::pop_move(ShardMove& move) {
+  if (move.upstream == nullptr) return;
+  move.upstream->popped_at = now_;
+  move.flit = move.upstream->buffer.pop();
+  assert(move.flit.message == move.dst->owner);
+}
+
+template <bool kInline>
+void Network::push_move(const ShardMove& move, ShardCtx& ctx) {
+  PhysChannel& pc = *move.channel;
+  VcState& w = *move.dst;
+  pc.rr_cursor = move.rr_index + 1 == pc.num_vcs ? 0 : move.rr_index + 1;
+  // A head entering a VC joins pending_: now in one walk, in channel-id
+  // order at commit with more shards. w is ours, so its dormant byte is too.
+  const auto add_pending = [&] {
+    if constexpr (kInline) {
+      pending_.push_back(w.id);
+    } else {
+      ShardPendingAdd add;
+      add.channel = pc.id;
+      add.vc = w.id;
+      ctx.pending_adds.push_back(add);
     }
+    dormant_[static_cast<std::size_t>(w.id)] = 0;
+  };
+  // Wakes a channel that may belong to another shard.
+  const auto wake = [&](ChannelId ch) {
+    if (kInline || shard_of_channel(ch) == ctx.shard) {
+      ctx.chan_active.insert(ch);
+    } else {
+      ctx.wake_outbox.push_back(ch);  // drained into its owner at commit
+    }
+  };
+  const auto emit = [&](TraceEventKind kind, MessageId msg, VcId vc,
+                        VcId vc2 = kInvalidVc, std::int32_t arg = 0) {
+    if constexpr (kInline) {
+      trace(kind, msg, vc, vc2, arg);
+    } else {
+      trace_buffered(ctx, static_cast<std::uint64_t>(pc.id), kind, msg, vc,
+                     vc2, arg);
+    }
+  };
+
+  if (pc.kind == ChannelKind::Injection) {
+    Message& msg = messages_[static_cast<std::size_t>(w.owner)];
+    Flit flit;
+    flit.message = msg.id;
+    flit.seq = msg.flits_sent++;
     flit.arrived = now_;
     w.buffer.push(flit);
-    if (pc.kind == ChannelKind::Ejection) {
-      ctx.eject_active.insert(pc.dst);  // the reception interface has work
-    } else if (w.route_out != kInvalidVc) {
+    if (flit.is_head()) add_pending();
+    if (w.route_out != kInvalidVc) {
+      // A routed head is already downstream; its channel leaves this node,
+      // so it is ours to wake directly.
       ctx.chan_active.insert(
           vcs_[static_cast<std::size_t>(w.route_out)].channel);
     }
     if (hooks_.heatmap != nullptr) hooks_.heatmap->on_traversal(pc.id, w.id);
     if (hooks_.tracer != nullptr) {
-      trace(TraceEventKind::FlitHopped, msg.id, w.id, u.id, flit.seq);
-      if (tail_left_upstream) {
-        trace(TraceEventKind::VcFreed, msg.id, u.id);
+      emit(TraceEventKind::FlitInjected, msg.id, w.id, kInvalidVc, flit.seq);
+    }
+    return;
+  }
+
+  Flit flit = move.flit;
+  VcState& u = *move.upstream;
+  Message& msg = messages_[static_cast<std::size_t>(flit.message)];
+  wake(u.channel);  // freed buffer space upstream
+  const bool tail_left_upstream = flit.is_tail_of(msg.length);
+  if (tail_left_upstream) {
+    assert(!msg.held.empty() && msg.held.front() == u.id);
+    msg.held.erase(msg.held.begin());
+    // A blocked header's memo key moved with its held chain, and a released
+    // VC may be one a dormant header watches: wake them. Both touch other
+    // shards' bytes, so more shards apply them at commit.
+    const bool watched = watched_[static_cast<std::size_t>(u.id)] != 0;
+    if constexpr (kInline) {
+      if (msg.blocked) dormant_[static_cast<std::size_t>(msg.held.back())] = 0;
+      if (watched) wake_requesters(u.id);
+    } else {
+      if (msg.blocked) ctx.shrunk_heads.push_back(msg.held.back());
+      if (watched) ctx.released_watched.push_back(u.id);
+    }
+    u.release();
+    w.route_in = kInvalidVc;  // no further flits arrive from upstream
+    ++ctx.epoch;  // oldest solid arc retired, VC ownership vacated
+  }
+  flit.arrived = now_;
+  w.buffer.push(flit);
+  if (pc.kind == ChannelKind::Ejection) {
+    ctx.eject_active.insert(pc.dst);  // the reception interface has work
+  } else if (w.route_out != kInvalidVc) {
+    wake(vcs_[static_cast<std::size_t>(w.route_out)].channel);
+  }
+  if (hooks_.heatmap != nullptr) hooks_.heatmap->on_traversal(pc.id, w.id);
+  if (hooks_.tracer != nullptr) {
+    emit(TraceEventKind::FlitHopped, msg.id, w.id, u.id, flit.seq);
+    if (tail_left_upstream) emit(TraceEventKind::VcFreed, msg.id, u.id);
+  }
+  if (flit.is_head() && pc.kind != ChannelKind::Ejection) add_pending();
+}
+
+void Network::transmit_phase() {
+  if (shard_ctx_.size() == 1) {
+    ShardCtx& ctx = shard_ctx_.front();
+    for (std::int32_t ch = ctx.chan_active.first(); ch != -1;
+         ch = ctx.chan_active.next_after(ch)) {
+      PhysChannel& pc = phys_[static_cast<std::size_t>(ch)];
+      ShardMove move;
+      if (decide_move(pc, move)) {
+        pop_move(move);
+        push_move<true>(move, ctx);
+      } else if (!transmit_work_possible(pc)) {
+        ctx.chan_active.erase(ch);
       }
     }
-    if (flit.is_head() && pc.kind != ChannelKind::Ejection) {
-      pending_.push_back(w.id);
-      dormant_[static_cast<std::size_t>(w.id)] = 0;
-    }
-    pc.rr_cursor = idx + 1 == pc.num_vcs ? 0 : idx + 1;
-    moved = true;
-    break;  // one flit per physical channel per cycle
+    return;
   }
-  if (!moved && !transmit_work_possible(pc)) ctx.chan_active.erase(pc.id);
+  pool_->run([this](std::size_t s) { transmit_decide_shard(shard_ctx_[s]); });
+  // Each VC has exactly one downstream mover (route_out is unique), so the
+  // pops, possibly of other shards' VCs, never collide.
+  pool_->run([this](std::size_t s) {
+    for (ShardMove& move : shard_ctx_[s].moves) pop_move(move);
+  });
+  pool_->run([this](std::size_t s) {
+    ShardCtx& ctx = shard_ctx_[s];
+    for (const ShardMove& move : ctx.moves) push_move<false>(move, ctx);
+  });
+  commit_transmit();
 }
 
 void Network::transmit_decide_shard(ShardCtx& ctx) {
@@ -712,113 +746,12 @@ void Network::transmit_decide_shard(ShardCtx& ctx) {
   ShardMove move;
   for (std::int32_t ch = ctx.chan_active.first(); ch != -1;
        ch = ctx.chan_active.next_after(ch)) {
-    const PhysChannel& pc = phys_[static_cast<std::size_t>(ch)];
+    PhysChannel& pc = phys_[static_cast<std::size_t>(ch)];
     if (decide_move(pc, move)) {
       ctx.moves.push_back(move);
     } else if (!transmit_work_possible(pc)) {
       ctx.chan_active.erase(ch);
     }
-  }
-}
-
-void Network::transmit_pop_shard(ShardCtx& ctx) {
-  // Each VC has exactly one downstream mover (route_out is unique), so these
-  // pops — possibly of other shards' VCs — never collide; pushes wait for
-  // the next barrier so no FlitFifo sees a pop and a push concurrently.
-  for (ShardMove& move : ctx.moves) {
-    if (move.upstream == kInvalidVc) continue;
-    move.flit = vcs_[static_cast<std::size_t>(move.upstream)].buffer.pop();
-    assert(move.flit.message ==
-           vcs_[static_cast<std::size_t>(move.dst_vc)].owner);
-  }
-}
-
-void Network::transmit_push_shard(ShardCtx& ctx) {
-  for (const ShardMove& move : ctx.moves) push_move(move, ctx);
-}
-
-void Network::wake_from_transmit(ChannelId ch, ShardCtx& ctx) {
-  if (shard_of_channel(ch) == ctx.shard) {
-    ctx.chan_active.insert(ch);
-  } else {
-    ctx.wake_outbox.push_back(ch);  // drained into its owner at commit
-  }
-}
-
-void Network::push_move(const ShardMove& move, ShardCtx& ctx) {
-  PhysChannel& pc = phys_[static_cast<std::size_t>(move.channel)];
-  VcState& w = vcs_[static_cast<std::size_t>(move.dst_vc)];
-  const auto key = static_cast<std::uint64_t>(pc.id);
-  pc.rr_cursor = move.rr_index + 1 == pc.num_vcs ? 0 : move.rr_index + 1;
-  if (pc.kind == ChannelKind::Injection) {
-    Message& msg = messages_[static_cast<std::size_t>(w.owner)];
-    Flit flit;
-    flit.message = msg.id;
-    flit.seq = msg.flits_sent++;
-    flit.arrived = now_;
-    w.buffer.push(flit);
-    if (flit.is_head()) {
-      ShardPendingAdd add;
-      add.channel = pc.id;
-      add.vc = w.id;
-      ctx.pending_adds.push_back(add);
-      dormant_[static_cast<std::size_t>(w.id)] = 0;  // w is ours
-    }
-    if (w.route_out != kInvalidVc) {
-      // A routed head is already downstream; its channel leaves this node,
-      // so it is ours to wake directly.
-      ctx.chan_active.insert(
-          vcs_[static_cast<std::size_t>(w.route_out)].channel);
-    }
-    if (hooks_.heatmap != nullptr) hooks_.heatmap->on_traversal(pc.id, w.id);
-    if (hooks_.tracer != nullptr) {
-      trace_buffered(ctx, key, TraceEventKind::FlitInjected, msg.id, w.id,
-                     kInvalidVc, flit.seq);
-    }
-    return;
-  }
-
-  Flit flit = move.flit;
-  VcState& u = vcs_[static_cast<std::size_t>(move.upstream)];
-  Message& msg = messages_[static_cast<std::size_t>(flit.message)];
-  // Freed buffer space upstream: wake the feeding channel (often another
-  // shard's).
-  wake_from_transmit(u.channel, ctx);
-  const bool tail_left_upstream = flit.is_tail_of(msg.length);
-  if (tail_left_upstream) {
-    assert(!msg.held.empty() && msg.held.front() == u.id);
-    msg.held.erase(msg.held.begin());
-    // The header wakes touch other shards' bytes: applied at commit.
-    if (msg.blocked) ctx.shrunk_heads.push_back(msg.held.back());
-    if (watched_[static_cast<std::size_t>(u.id)] != 0) {
-      ctx.released_watched.push_back(u.id);
-    }
-    u.release();
-    w.route_in = kInvalidVc;  // no further flits arrive from upstream
-    ++ctx.epoch;  // oldest solid arc retired, VC ownership vacated
-  }
-  flit.arrived = now_;
-  w.buffer.push(flit);
-  if (pc.kind == ChannelKind::Ejection) {
-    ctx.eject_active.insert(pc.dst);  // the reception interface has work
-  } else if (w.route_out != kInvalidVc) {
-    wake_from_transmit(vcs_[static_cast<std::size_t>(w.route_out)].channel,
-                       ctx);
-  }
-  if (hooks_.heatmap != nullptr) hooks_.heatmap->on_traversal(pc.id, w.id);
-  if (hooks_.tracer != nullptr) {
-    trace_buffered(ctx, key, TraceEventKind::FlitHopped, msg.id, w.id, u.id,
-                   flit.seq);
-    if (tail_left_upstream) {
-      trace_buffered(ctx, key, TraceEventKind::VcFreed, msg.id, u.id);
-    }
-  }
-  if (flit.is_head() && pc.kind != ChannelKind::Ejection) {
-    ShardPendingAdd add;
-    add.channel = pc.id;
-    add.vc = w.id;
-    ctx.pending_adds.push_back(add);
-    dormant_[static_cast<std::size_t>(w.id)] = 0;  // w is ours
   }
 }
 

@@ -24,6 +24,9 @@
 
 namespace flexnet {
 
+struct PhysChannel;
+struct VcState;
+
 /// One flit drained from an ejection VC this cycle (deliver phase). At most
 /// one per node per cycle, produced in ascending node order within a shard;
 /// the commit merges shards by node id and runs tail completions in that
@@ -44,14 +47,17 @@ struct ShardRouteFailure {
   VcId head_vc = kInvalidVc;
 };
 
-/// A transmit move decided against transmit-start state (sub-phase T1, or
-/// the one-shard sweep). `upstream == kInvalidVc` marks an injection move
-/// (the flit is synthesized from the source at the push); otherwise the pop
-/// takes `flit` from `upstream`.
+/// A transmit move decided against transmit-start state (decide_move, in
+/// sub-phase T1 or the one-shard walk). `upstream == nullptr` marks an
+/// injection move (the flit is synthesized from the source at the push);
+/// otherwise the pop takes `flit` from `upstream`. The pointers index the
+/// network's channel and VC tables, which never reallocate after
+/// construction, and a move lives for one transmit phase. Pointers, not ids:
+/// they measured faster in the one-shard walk (DESIGN.md §3j).
 struct ShardMove {
-  ChannelId channel = kInvalidChannel;
-  VcId dst_vc = kInvalidVc;
-  VcId upstream = kInvalidVc;
+  PhysChannel* channel = nullptr;
+  VcState* dst = nullptr;
+  VcState* upstream = nullptr;
   int rr_index = 0;  ///< VC index chosen by the round-robin scan.
   Flit flit{};
 };
@@ -65,7 +71,7 @@ struct ShardTraceRecord {
 };
 
 /// A head flit that entered a new VC this cycle and must join pending_.
-/// Keyed by channel id (the transmit sweep's visit order; at most one per
+/// Keyed by channel id (the one-shard walk's visit order; at most one per
 /// channel per cycle).
 struct ShardPendingAdd {
   ChannelId channel = kInvalidChannel;

@@ -1,5 +1,6 @@
 #include "util/options.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <cmath>
@@ -106,6 +107,14 @@ bool Options::get_bool(std::string_view name, bool def) const {
   if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
   bad_value(name, v, "a boolean (1/0, true/false, yes/no, on/off)");
+}
+
+void Options::reject_unknown(std::span<const std::string_view> known) const {
+  for (const auto& entry : values_) {
+    if (std::find(known.begin(), known.end(), entry.first) == known.end()) {
+      throw std::invalid_argument("unknown option --" + entry.first);
+    }
+  }
 }
 
 double bench_scale() {

@@ -8,6 +8,7 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,6 +34,10 @@ class Options {
   /// A bare `--name` is true; a value must be 1/0, true/false, yes/no or
   /// on/off, and anything else throws std::invalid_argument.
   [[nodiscard]] bool get_bool(std::string_view name, bool def) const;
+
+  /// Throws std::invalid_argument naming the first option given that is not
+  /// in `known`, so a misspelled flag fails instead of running the default.
+  void reject_unknown(std::span<const std::string_view> known) const;
 
   /// Positional (non --option) arguments in order.
   [[nodiscard]] const std::vector<std::string>& positional() const {

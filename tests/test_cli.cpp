@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 namespace flexnet {
 namespace {
@@ -99,6 +100,50 @@ TEST(Cli, QuiescenceAndCycleFlags) {
 TEST(Cli, StepDenseFlag) {
   EXPECT_FALSE(experiment_from_options(parse({})).run.step_dense);
   EXPECT_TRUE(experiment_from_options(parse({"--step-dense"})).run.step_dense);
+}
+
+// The message experiment_from_options throws, or "" when it accepts.
+std::string rejection(std::initializer_list<const char*> args) {
+  try {
+    (void)experiment_from_options(parse(args));
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, DetectionIntervalMustBePositive) {
+  // Interval 0 would never run the detector: no deadlock is ever counted.
+  EXPECT_NE(rejection({"--interval", "0"}).find("--interval"),
+            std::string::npos);
+  EXPECT_NE(rejection({"--interval", "-3"}).find("--interval"),
+            std::string::npos);
+  EXPECT_EQ(rejection({"--interval", "1"}), "");
+}
+
+TEST(Cli, RunWindowsMustBeUsable) {
+  EXPECT_NE(rejection({"--warmup", "-1"}).find("--warmup"), std::string::npos);
+  EXPECT_EQ(rejection({"--warmup", "0"}), "");
+  // A zero-length window would print as a saturated point.
+  EXPECT_NE(rejection({"--measure", "0"}).find("--measure"),
+            std::string::npos);
+  EXPECT_NE(rejection({"--measure", "-5"}).find("--measure"),
+            std::string::npos);
+  EXPECT_EQ(rejection({"--measure", "1"}), "");
+}
+
+TEST(Cli, UnknownOptionNamesRejected) {
+  // A misspelled flag used to run the default silently (32-flit messages).
+  EXPECT_NE(rejection({"--lenght", "1"}).find("--lenght"), std::string::npos);
+  EXPECT_NE(rejection({"--k", "8", "--cycles", "100"}).find("--cycles"),
+            std::string::npos);
+  // The output options sweep_cli reads itself are known.
+  EXPECT_EQ(rejection({"--csv", "out.csv", "--label", "x", "--profile",
+                       "--heatmap-ascii", "--loads", "0.1"}),
+            "");
+  EXPECT_EQ(rejection({"--route-table-dump", "t.rt", "--routing",
+                       "TableMin", "--topology", "random"}),
+            "");
 }
 
 TEST(Cli, LoadsListParsing) {

@@ -1,13 +1,17 @@
 // Parameterized sweep over message length x buffer depth: the wormhole /
 // buffered-wormhole / virtual-cut-through spectrum must deliver correctly at
 // every point, conserve flits, and keep the held-chain length consistent
-// with the compaction the buffers allow.
+// with the compaction the buffers allow. Every point also runs a 3-shard
+// and a dense-sweep twin in lockstep, which must keep byte-identical state:
+// a 1-flit message makes one push both release its upstream VC and file a
+// pending head, and a 1-deep buffer puts every hop under the credit rule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <tuple>
 
 #include "core/detector.hpp"
+#include "lockstep.hpp"
 #include "routing/routing.hpp"
 #include "routing/selection.hpp"
 #include "sim/network.hpp"
@@ -15,6 +19,33 @@
 
 namespace flexnet {
 namespace {
+
+/// One step mode's network with its own arrivals and detector.
+struct Rig {
+  Rig(const SimConfig& cfg, const TrafficConfig& traffic, bool dense,
+      int shards)
+      : net(cfg, NetworkDeps{nullptr, make_routing(cfg),
+                             make_selection(cfg.selection)}),
+        injection(net, traffic, cfg.seed),
+        // Deadlocks are possible at any length with 1 VC (short messages
+        // raise the message rate sharply); recovery keeps the sweep
+        // drainable.
+        detector(DetectorConfig{}, cfg.seed) {
+    net.set_step_dense(dense);
+    net.set_shards(shards);
+  }
+
+  /// Injects (when asked), steps and detects one cycle; returns the verdict.
+  int step(bool inject) {
+    if (inject) injection.tick(net);
+    net.step();
+    return detector.tick(net);
+  }
+
+  Network net;
+  InjectionProcess injection;
+  DeadlockDetector detector;
+};
 
 class LengthSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -27,27 +58,34 @@ TEST_P(LengthSweep, DeliversAndConservesAcrossTheSwitchingSpectrum) {
   cfg.message_length = length;
   cfg.buffer_depth = buffer;
   cfg.seed = 21;
-  Network net(cfg, NetworkDeps{nullptr, make_routing(cfg),
-                                 make_selection(cfg.selection)});
-
   TrafficConfig traffic;
   traffic.load = 0.2;
-  InjectionProcess injection(net, traffic, cfg.seed);
-  // Deadlocks are possible at any length with 1 VC (short messages raise
-  // the message rate sharply); recovery keeps the sweep drainable.
-  DetectorConfig det;
-  DeadlockDetector detector(det, cfg.seed);
+  Rig base(cfg, traffic, false, 0);
+  Rig sharded(cfg, traffic, false, 3);
+  Rig dense(cfg, traffic, true, 0);
+  const Network& net = base.net;
 
-  for (int i = 0; i < 1200; ++i) {
-    injection.tick(net);
-    net.step();
-    detector.tick(net);
+  const auto lockstep = [&](int cycle, bool inject) {
+    const int verdict = base.step(inject);
+    ASSERT_EQ(sharded.step(inject), verdict) << "3 shards, cycle " << cycle;
+    ASSERT_EQ(dense.step(inject), verdict) << "dense, cycle " << cycle;
+    if (cycle % 300 != 0) return;
+    ASSERT_EQ(net_bytes(net), net_bytes(sharded.net))
+        << "3 shards, cycle " << cycle;
+    ASSERT_EQ(net_bytes(net), net_bytes(dense.net)) << "dense, cycle " << cycle;
+  };
+  int cycle = 0;
+  for (int i = 0; i < 1200; ++i, ++cycle) {
+    ASSERT_NO_FATAL_FAILURE(lockstep(cycle, true));
     if (i % 40 == 0) net.check_invariants();
   }
-  for (int i = 0; i < 6000 && !net.active_messages().empty(); ++i) {
-    net.step();
-    detector.tick(net);
+  for (int i = 0; i < 6000 && !net.active_messages().empty(); ++i, ++cycle) {
+    ASSERT_NO_FATAL_FAILURE(lockstep(cycle, false));
   }
+  EXPECT_EQ(net_bytes(net), net_bytes(sharded.net));
+  EXPECT_EQ(net_bytes(net), net_bytes(dense.net));
+  sharded.net.check_invariants();
+  dense.net.check_invariants();
 
   ASSERT_TRUE(net.active_messages().empty());
   EXPECT_GT(net.counters().delivered, 20);
