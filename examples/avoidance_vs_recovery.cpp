@@ -7,16 +7,20 @@
 //
 //   ./avoidance_vs_recovery [--load X] [--k N]
 #include <cstdio>
+#include <string_view>
 
 #include "flexnet.hpp"
 
-int main(int argc, char** argv) {
-  using namespace flexnet;
-  const auto opts = Options::parse(argc, argv);
-  if (!opts) return 1;
+namespace {
 
-  const double load = opts->get_double("load", 0.4);
-  const int k = static_cast<int>(opts->get_int("k", 16));
+using namespace flexnet;
+
+// Every option this example reads.
+constexpr std::string_view kOptions[] = {"load", "k"};
+
+int compare(const Options& opts) {
+  const double load = opts.get_double("load", 0.4);
+  const int k = static_cast<int>(opts.get_int("k", 16));
 
   struct Scheme {
     const char* label;
@@ -55,4 +59,10 @@ int main(int argc, char** argv) {
       "virtual channels deadlock becomes highly improbable, so recovery-based\n"
       "routing is viable and avoidance's restrictions are overly cautious.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main(argc, argv, kOptions, compare);
 }

@@ -8,20 +8,27 @@
 // with a *formation* forensics report: when each deadlocked message last made
 // progress and the order their blocked episodes closed the knot.
 //
-//   ./deadlock_anatomy [--routing DOR|TFAR] [--vcs N] [--load X] [--k N]
+//   ./deadlock_anatomy [--routing NAME] [--vcs N] [--load X] [--k N]
 //                      [--uni] [--seed S] [--max-cycles C] [--dot FILE]
 //                      [--trace-chrome FILE] [--ring N]
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "flexnet.hpp"
 
 namespace {
 
 using namespace flexnet;
+
+// Every option this example reads.
+constexpr std::string_view kOptions[] = {
+    "routing", "vcs", "k", "uni", "seed", "load", "max-cycles", "ring",
+    "dot", "trace-chrome"};
 
 std::string describe_vc(const Network& net, VcId vc_id) {
   const VcState& vc = net.vc(vc_id);
@@ -48,23 +55,19 @@ std::string describe_vc(const Network& net, VcId vc_id) {
   return buf;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const auto opts = Options::parse(argc, argv);
-  if (!opts) return 1;
-
+int hunt(const Options& opts) {
   ExperimentConfig cfg;
-  cfg.sim.routing = opts->get("routing", "DOR") == "TFAR" ? RoutingKind::TFAR
-                                                          : RoutingKind::DOR;
-  cfg.sim.vcs = static_cast<int>(opts->get_int("vcs", 1));
-  cfg.sim.topology.k = static_cast<int>(opts->get_int("k", 16));
-  cfg.sim.topology.bidirectional = !opts->get_bool("uni", false);
-  cfg.sim.seed = static_cast<std::uint64_t>(opts->get_int("seed", 1));
-  cfg.traffic.load = opts->get_double("load", 0.5);
+  cfg.sim.routing = parse_routing(opts.get("routing", "DOR"));
+  cfg.sim.vcs = static_cast<int>(opts.get_int("vcs", 1));
+  cfg.sim.topology.k = static_cast<int>(opts.get_int("k", 16));
+  cfg.sim.topology.bidirectional = !opts.get_bool("uni", false);
+  cfg.sim.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
+  cfg.traffic.load = opts.get_double("load", 0.5);
   cfg.detector.recovery = RecoveryKind::None;  // keep the specimen intact
   const auto max_cycles =
-      static_cast<std::int64_t>(opts->get_int("max-cycles", 100000));
+      static_cast<std::int64_t>(opts.get_int("max-cycles", 100000));
+  const long long ring_events = opts.get_int("ring", 1 << 16);
+  if (ring_events < 0) throw std::invalid_argument("--ring must be >= 0");
 
   std::printf("Hunting for a true deadlock: %s, %d VC(s), %d-ary 2-cube (%s), "
               "load %.2f...\n",
@@ -78,13 +81,12 @@ int main(int argc, char** argv) {
   // Always-on trace ring so the eventual deadlock comes with its formation
   // history; optional Chrome trace for the whole hunt.
   Tracer tracer;
-  RingBufferSink ring(
-      static_cast<std::size_t>(opts->get_int("ring", 1 << 16)));
+  RingBufferSink ring(static_cast<std::size_t>(ring_events));
   tracer.add_sink(&ring);
   std::ofstream chrome_file;
   std::unique_ptr<ChromeTraceSink> chrome;
-  if (opts->has("trace-chrome")) {
-    chrome_file.open(opts->get("trace-chrome"), std::ios::binary);
+  if (opts.has("trace-chrome")) {
+    chrome_file.open(opts.get("trace-chrome"), std::ios::binary);
     chrome = std::make_unique<ChromeTraceSink>(chrome_file);
     tracer.add_sink(chrome.get());
   }
@@ -163,11 +165,11 @@ int main(int argc, char** argv) {
         }
       }
 
-      if (opts->has("dot")) {
-        std::ofstream dot(opts->get("dot"));
+      if (opts.has("dot")) {
+        std::ofstream dot(opts.get("dot"));
         dot << cwg_to_dot(cwg, knots);
         std::printf("\nCWG written to %s (render: dot -Tsvg %s -o cwg.svg)\n",
-                    opts->get("dot").c_str(), opts->get("dot").c_str());
+                    opts.get("dot").c_str(), opts.get("dot").c_str());
       }
 
       Pcg32 rng(cfg.sim.seed);
@@ -186,11 +188,17 @@ int main(int argc, char** argv) {
       if (chrome) {
         tracer.flush();
         std::printf("Chrome trace written to %s (load in chrome://tracing)\n",
-                    opts->get("trace-chrome").c_str());
+                    opts.get("trace-chrome").c_str());
       }
       return 0;
     }
   }
   std::printf("no true deadlock formed within the budget; raise --load.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main(argc, argv, kOptions, hunt);
 }

@@ -8,24 +8,27 @@
 // frequency of true deadlocks", and Section 2.2.3's point that eliminating
 // PWG cycles (Dally & Aoki) is overly restrictive.
 //
-//   ./detection_accuracy [--routing DOR|TFAR] [--vcs N] [--load X] [--k N]
+//   ./detection_accuracy [--routing NAME] [--vcs N] [--load X] [--k N]
 #include <cstdio>
+#include <string_view>
 
 #include "core/pwg.hpp"
 #include "core/timeout.hpp"
 #include "flexnet.hpp"
 
-int main(int argc, char** argv) {
-  using namespace flexnet;
-  const auto opts = Options::parse(argc, argv);
-  if (!opts) return 1;
+namespace {
 
+using namespace flexnet;
+
+// Every option this example reads.
+constexpr std::string_view kOptions[] = {"routing", "vcs", "k", "load"};
+
+int study(const Options& opts) {
   ExperimentConfig cfg;
-  cfg.sim.routing = opts->get("routing", "DOR") == "TFAR" ? RoutingKind::TFAR
-                                                          : RoutingKind::DOR;
-  cfg.sim.vcs = static_cast<int>(opts->get_int("vcs", 1));
-  cfg.sim.topology.k = static_cast<int>(opts->get_int("k", 16));
-  cfg.traffic.load = opts->get_double("load", 0.4);
+  cfg.sim.routing = parse_routing(opts.get("routing", "DOR"));
+  cfg.sim.vcs = static_cast<int>(opts.get_int("vcs", 1));
+  cfg.sim.topology.k = static_cast<int>(opts.get_int("k", 16));
+  cfg.traffic.load = opts.get_double("load", 0.4);
   cfg.detector.recovery = RecoveryKind::None;  // observe, don't intervene
 
   std::printf("Detection accuracy study: %s, %d VC(s), %d-ary 2-cube, "
@@ -94,4 +97,10 @@ int main(int argc, char** argv) {
               " cycle-eliminating avoidance would have sacrificed for"
               " nothing.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main(argc, argv, kOptions, study);
 }

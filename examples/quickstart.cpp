@@ -1,48 +1,36 @@
 // Quickstart: run one simulation with the paper's default configuration and
 // print throughput, congestion and deadlock statistics.
 //
-//   ./quickstart [--routing DOR|TFAR] [--vcs N] [--load X] [--k N] [--n N]
-//                [--uni] [--buffer D] [--warmup C] [--measure C]
+//   ./quickstart [--routing NAME] [--vcs N] [--load X] [--k N] [--n N]
+//                [--uni] [--buffer D] [--ivcs N] [--evcs N] [--seed S]
+//                [--queue L] [--warmup C] [--measure C]
 #include <cstdio>
-#include <iostream>
+#include <string_view>
 
 #include "flexnet.hpp"
 
 namespace {
 
-flexnet::RoutingKind parse_routing(const std::string& name) {
-  if (name == "DOR") return flexnet::RoutingKind::DOR;
-  if (name == "TFAR") return flexnet::RoutingKind::TFAR;
-  if (name == "DatelineDOR") return flexnet::RoutingKind::DatelineDOR;
-  if (name == "DuatoTFAR") return flexnet::RoutingKind::DuatoTFAR;
-  if (name == "NegativeFirst") return flexnet::RoutingKind::NegativeFirst;
-  throw std::invalid_argument("unknown routing: " + name);
-}
+// Every option this example reads.
+constexpr std::string_view kOptions[] = {
+    "routing", "vcs", "buffer", "ivcs", "evcs", "k", "n",
+    "uni", "seed", "queue", "load", "warmup", "measure"};
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string error;
-  const auto opts = flexnet::Options::parse(argc, argv, &error);
-  if (!opts) {
-    std::cerr << "argument error: " << error << '\n';
-    return 1;
-  }
-
+int quickstart(const flexnet::Options& opts) {
   flexnet::ExperimentConfig cfg;  // paper defaults: 16-ary 2-cube, bi, 1 VC
-  cfg.sim.routing = parse_routing(opts->get("routing", "TFAR"));
-  cfg.sim.vcs = static_cast<int>(opts->get_int("vcs", 1));
-  cfg.sim.buffer_depth = static_cast<int>(opts->get_int("buffer", 2));
-  cfg.sim.injection_vcs = static_cast<int>(opts->get_int("ivcs", 1));
-  cfg.sim.ejection_vcs = static_cast<int>(opts->get_int("evcs", 1));
-  cfg.sim.topology.k = static_cast<int>(opts->get_int("k", 16));
-  cfg.sim.topology.n = static_cast<int>(opts->get_int("n", 2));
-  cfg.sim.topology.bidirectional = !opts->get_bool("uni", false);
-  cfg.sim.seed = static_cast<std::uint64_t>(opts->get_int("seed", 1));
-  cfg.sim.source_queue_limit = static_cast<int>(opts->get_int("queue", 4));
-  cfg.traffic.load = opts->get_double("load", 0.6);
-  cfg.run.warmup = opts->get_int("warmup", 5000);
-  cfg.run.measure = opts->get_int("measure", 15000);
+  cfg.sim.routing = flexnet::parse_routing(opts.get("routing", "TFAR"));
+  cfg.sim.vcs = static_cast<int>(opts.get_int("vcs", 1));
+  cfg.sim.buffer_depth = static_cast<int>(opts.get_int("buffer", 2));
+  cfg.sim.injection_vcs = static_cast<int>(opts.get_int("ivcs", 1));
+  cfg.sim.ejection_vcs = static_cast<int>(opts.get_int("evcs", 1));
+  cfg.sim.topology.k = static_cast<int>(opts.get_int("k", 16));
+  cfg.sim.topology.n = static_cast<int>(opts.get_int("n", 2));
+  cfg.sim.topology.bidirectional = !opts.get_bool("uni", false);
+  cfg.sim.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
+  cfg.sim.source_queue_limit = static_cast<int>(opts.get_int("queue", 4));
+  cfg.traffic.load = opts.get_double("load", 0.6);
+  cfg.run.warmup = opts.get_int("warmup", 5000);
+  cfg.run.measure = opts.get_int("measure", 15000);
 
   std::printf("flexnet quickstart: %s, %d VC(s), %d-ary %d-cube (%s), load %.2f\n",
               std::string(flexnet::to_string(cfg.sim.routing)).c_str(),
@@ -76,4 +64,10 @@ int main(int argc, char** argv) {
                 static_cast<long long>(w.multi_cycle_deadlocks));
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return flexnet::run_main(argc, argv, kOptions, quickstart);
 }

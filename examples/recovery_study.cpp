@@ -6,21 +6,25 @@
 //
 //   ./recovery_study [--load X] [--k N] [--measure C]
 #include <cstdio>
+#include <string_view>
 
 #include "flexnet.hpp"
 
-int main(int argc, char** argv) {
-  using namespace flexnet;
-  const auto opts = Options::parse(argc, argv);
-  if (!opts) return 1;
+namespace {
 
+using namespace flexnet;
+
+// Every option this example reads.
+constexpr std::string_view kOptions[] = {"k", "load", "measure"};
+
+int study(const Options& opts) {
   ExperimentConfig base;
   base.sim.routing = RoutingKind::DOR;
   base.sim.vcs = 1;
-  base.sim.topology.k = static_cast<int>(opts->get_int("k", 16));
-  base.traffic.load = opts->get_double("load", 0.4);
+  base.sim.topology.k = static_cast<int>(opts.get_int("k", 16));
+  base.traffic.load = opts.get_double("load", 0.4);
   base.run.warmup = 3000;
-  base.run.measure = opts->get_int("measure", 10000);
+  base.run.measure = opts.get_int("measure", 10000);
 
   std::printf("Recovery study: DOR, 1 VC, %d-ary 2-cube, load %.2f\n\n",
               base.sim.topology.k, base.traffic.load);
@@ -60,4 +64,10 @@ int main(int argc, char** argv) {
   std::printf("\n(with RecoveryKind::None each frozen knot is re-counted every"
               " detector pass, so 'deadlocks' counts sightings, not events)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return run_main(argc, argv, kOptions, study);
 }

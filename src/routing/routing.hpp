@@ -12,11 +12,10 @@
 //   * the header's router and in-VC, and
 //   * which VCs the message holds (TFAR's self-owned detour check).
 // Nothing else, in particular no other message's state or VC occupancy.
-// The network memoizes a blocked header's answer on this contract and
-// replays it while the header waits (DESIGN.md §3h): while a header sits in
-// one VC its misroutes cannot change and its held chain only shrinks, so the
-// key (head VC, held length) changes exactly when an input does. A relation
-// that reads anything more must widen that key.
+// The network lets a blocked header sleep on this contract (DESIGN.md §3h):
+// while a header sits in one VC its misroutes cannot change and its held
+// chain only shrinks, so its answer can change only when the chain shrinks,
+// which wakes it. A relation that reads anything more needs a wake for it.
 #pragma once
 
 #include <memory>

@@ -238,7 +238,6 @@ MessageId Network::enqueue_message(NodeId src, NodeId dst, std::int32_t length,
   msg.created = now_;
   messages_.push_back(std::move(msg));
   active_pos_.push_back(-1);
-  route_memo_.emplace_back();
   source_queues_[static_cast<std::size_t>(src)].push_back(id);
   sched_insert_src(src);  // schedule the node's next grant pass
   ++counters_.generated;
@@ -317,7 +316,6 @@ void Network::deactivate(Message& msg) {
   active_pos_[static_cast<std::size_t>(moved)] = pos;
   active_.pop_back();
   active_pos_[static_cast<std::size_t>(msg.id)] = -1;
-  route_memo_[static_cast<std::size_t>(msg.id)] = {};  // frees its storage
 }
 
 bool Network::transmit_work_possible(const PhysChannel& pc) const {
@@ -460,6 +458,8 @@ void Network::check_invariants() const {
   }
 
   // Pending entries are exactly the owned, unrouted heads.
+  std::vector<ChannelId> channels;
+  std::vector<VcId> wants;
   for (const VcId v : pending_) {
     const VcState& vc = vcs_[static_cast<std::size_t>(v)];
     if (vc.is_free() || vc.route_out != kInvalidVc) {
@@ -469,22 +469,21 @@ void Network::check_invariants() const {
       invariant_failure("pending VC front is not a header flit");
     }
     // A dormant header at an unwoken router is skipped by the route walk,
-    // which is sound only while a retry would fail as a no-op (§3h).
+    // which is sound only while a retry would fail as a no-op (§3h): the
+    // header is blocked on exactly the VCs a fresh routing answer gives, and
+    // none of them is free.
     if (dormant_[static_cast<std::size_t>(v)] == 0 ||
         router_woken_[static_cast<std::size_t>(router_at(v))] != 0) {
       continue;
     }
     const Message& msg = message(vc.owner);
-    const RouteMemo& memo = route_memo_[static_cast<std::size_t>(msg.id)];
     if (!msg.blocked) invariant_failure("dormant header is not blocked");
-    if (memo.head_vc != v ||
-        memo.held_size != static_cast<std::int32_t>(msg.held.size())) {
-      invariant_failure("dormant header's route memo is stale");
+    route_candidates(msg, vc, channels, wants);
+    if (msg.request_set != wants) {
+      invariant_failure("dormant header's request set is not its routing "
+                        "answer");
     }
-    if (msg.request_set != memo.vcs) {
-      invariant_failure("dormant header's request set is not its memo's");
-    }
-    for (const VcId want : memo.vcs) {
+    for (const VcId want : wants) {
       if (vcs_[static_cast<std::size_t>(want)].is_free()) {
         invariant_failure("dormant header requests a free VC");
       }
@@ -762,13 +761,10 @@ void Network::restore_state(BinReader& in, std::uint32_t version) {
 
   // The epoch is deliberately NOT serialized (it is a process-local cache
   // key, not simulation state); bumping it here invalidates any detector
-  // verdict cached against the pre-restore graph. The route memos, header
-  // dormancy and the active sets are likewise process-local: drop every
-  // memo, wake every header, and recompute the sets from the restored
-  // buffers and queues.
+  // verdict cached against the pre-restore graph. Header dormancy and the
+  // active sets are likewise process-local: wake every header, and
+  // recompute the sets from the restored buffers and queues.
   ++arc_epoch_;
-  route_memo_.clear();
-  route_memo_.resize(static_cast<std::size_t>(num_messages));
   reset_dormancy();
   rebuild_active_sets();
 

@@ -3,10 +3,11 @@
 // Each cycle advances three phases:
 //   1. deliver  — reception interfaces drain ejection-VC buffers (1 flit per
 //                 reception channel per cycle); tails complete messages.
-//   2. route    — queued messages contend for injection VCs; every unrouted
-//                 header retries VC allocation against the routing relation's
+//   2. route    — queued messages contend for injection VCs; unrouted
+//                 headers retry VC allocation against the routing relation's
 //                 candidate set. Failures mark the message blocked and record
-//                 its request set (the CWG's dashed arcs).
+//                 its request set (the CWG's dashed arcs); a blocked header
+//                 sleeps until a VC it requests is released.
 //   3. transmit — every physical channel moves at most one flit from the
 //                 feeding VC into the owned downstream VC (or from the source
 //                 queue into an injection VC). A tail flit leaving a buffer
@@ -145,7 +146,9 @@ class Network {
   }
 
   [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
-  /// In-network messages whose header allocation failed this cycle.
+  /// Unrouted headers left pending by the last route phase: the ones it
+  /// retried and failed plus the dormant ones it passed over. Set only by
+  /// the route phase, so a recovery between steps does not lower it.
   [[nodiscard]] int blocked_message_count() const noexcept { return blocked_count_; }
   /// Monotonic counter bumped on every event that changes the channel
   /// wait-for graph: VC acquisition/release (solid arcs), block/unblock and
@@ -269,22 +272,6 @@ class Network {
                                std::uint32_t version = kStateFormatVersion);
 
  private:
-  /// A header's routing answer, replayed while it cannot change (DESIGN.md
-  /// §3h). Every routing relation derives it from fixed inputs plus the
-  /// header's VC and, for TFAR's self-owned detour check, the VCs the message
-  /// holds. While the header sits in one VC its held chain only shrinks, so
-  /// the key (head VC, held length) changes exactly when an input does.
-  /// Process-local: never serialized, and restore_state drops every memo.
-  /// A blocked header's request set is `vcs`, in this order.
-  struct RouteMemo {
-    VcId head_vc = kInvalidVc;  ///< kInvalidVc: no memo.
-    std::int32_t held_size = 0;
-    std::vector<ChannelId> channels;  ///< candidate_channels() order.
-    /// Each channel's allowed VCs in allocation order, grouped in `channels`
-    /// order; a channel's group is the first run of entries in its VC range.
-    std::vector<VcId> vcs;
-  };
-
   void inject_link_faults();
   [[nodiscard]] bool network_strongly_connected() const;
 
@@ -329,15 +316,20 @@ class Network {
   void commit_deliver();
   void route_shard(ShardCtx& ctx);
   void route_grants(NodeId node, ShardCtx& ctx);
-  /// Attempts allocation for the unrouted header in `head_vc`; returns true
-  /// on success. `scan_index` is its position in this cycle's rotated scan.
-  /// A failure leaves the header dormant, watching its request set.
-  bool try_route_header(VcId head_vc, std::uint32_t scan_index,
+  /// Attempts allocation for the unrouted header in `head_vc`; a success
+  /// sets its route_out. `scan_index` is its position in this cycle's
+  /// rotated scan. A failure leaves the header dormant, watching its
+  /// request set.
+  void try_route_header(VcId head_vc, std::uint32_t scan_index,
                         ShardCtx& ctx);
-  /// Asks the routing relation for the header's candidate channels and their
-  /// allowed VCs, and keys `memo` to its current head VC and held length.
-  void fill_route_memo(const Message& msg, const VcState& head,
-                       RouteMemo& memo) const;
+  /// The routing relation's answer for the header in `head`: its candidate
+  /// channels in candidate_channels() order, and each channel's allowed VCs
+  /// in allocation order, grouped in `channels` order (a channel's group is
+  /// the first run of `vcs` in its VC range). A blocked header's request set
+  /// is `vcs`, in this order.
+  void route_candidates(const Message& msg, const VcState& head,
+                        std::vector<ChannelId>& channels,
+                        std::vector<VcId>& vcs) const;
   void acquire_vc(Message& msg, VcState& from, VcState& target,
                   std::uint64_t trace_key, ShardCtx& ctx);
   void commit_route();
@@ -398,15 +390,12 @@ class Network {
   std::vector<MessageId> active_;
   std::vector<std::int32_t> active_pos_;  // message id -> index in active_
   std::vector<VcId> pending_;             // VCs holding unrouted headers
-  // Message id -> route memo, written only by the shard that owns the
-  // header's router (the rule request_set follows).
-  std::vector<RouteMemo> route_memo_;
-  // Header dormancy (DESIGN.md §3h), process-local like the memos. A pending
-  // header whose last retry failed is dormant and is skipped until a VC it
-  // requests is released (its router is woken) or its held chain shrinks.
-  // Written by the shard owning the header's router (dormant_: its headers;
-  // watched_: VCs on channels out of it); transmit clears dormant_ for a
-  // head entering a VC, and buffers its other wakes when N shards run.
+  // Header dormancy (DESIGN.md §3h), process-local: never serialized. A
+  // pending header whose last retry failed is dormant and is skipped until a
+  // VC it requests is released (its router is woken) or its held chain
+  // shrinks. Written by the shard owning the header's router (dormant_: its
+  // headers; watched_: VCs on channels out of it); transmit clears dormant_
+  // for a head entering a VC, and buffers its other wakes when N shards run.
   std::vector<std::uint8_t> dormant_;  // VC id -> its header sleeps
   std::vector<std::uint8_t> watched_;  // VC id -> a dormant header wants it
   // Node id -> a watched VC on a channel out of it was released.
@@ -433,7 +422,6 @@ class Network {
   std::unique_ptr<WorkerPool> pool_;
   // Commit-time merge scratch.
   std::vector<std::size_t> merge_cursor_;
-  std::vector<VcId> scratch_pending_;
 };
 
 }  // namespace flexnet

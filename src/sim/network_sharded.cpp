@@ -34,12 +34,12 @@
 // headers drew before it.
 //
 // Blocked headers sleep (DESIGN.md §3h). A header runs selection only when a
-// VC of its request set (its route memo's VC list) is free, so a failure
-// draws nothing and changes nothing while its memo is valid. A header whose
-// retry failed is dormant, and the route walk files it as a failure without
-// a retry until a VC it requests is released (which wakes its router) or
-// its held chain shrinks. Every grant, and the order of pending_, is the
-// one a retry of every header would give.
+// VC of its routing answer is free, so a failure draws nothing, and one that
+// finds its request set unchanged changes nothing. A header whose retry
+// failed is dormant, and the route walk passes it over until a VC it
+// requests is released (which wakes its router) or its held chain shrinks.
+// Every grant, and the order of pending_, is the one a retry of every header
+// would give.
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
@@ -254,7 +254,6 @@ void Network::commit_deliver() {
 void Network::route_shard(ShardCtx& ctx) {
   ctx.grants.clear();
   ctx.injected = 0;
-  ctx.failures.clear();
   ctx.trace_buf.clear();
 
   // Injection grants for this shard's nodes (src_active is exact).
@@ -265,9 +264,9 @@ void Network::route_shard(ShardCtx& ctx) {
 
   // Walk every unrouted header whose current router this shard owns, in the
   // globally rotated order so the scan positions — the order the 1-shard run
-  // processes and re-files failures — are shard-independent. A dormant
-  // header at a router no release woke would fail again without a change,
-  // so it is re-filed without a retry; the dense oracle retries it.
+  // retries headers in, and their trace keys — are shard-independent. A
+  // dormant header at a router no release woke would fail again without a
+  // change, so it is passed over; the dense oracle retries it.
   const std::size_t count = pending_.size();
   std::size_t pos = count == 0 ? 0 : static_cast<std::size_t>(now_) % count;
   const bool owns_all = shard_ctx_.size() == 1;
@@ -278,13 +277,7 @@ void Network::route_shard(ShardCtx& ctx) {
     const bool asleep =
         !step_dense_ && dormant_[static_cast<std::size_t>(head_vc)] != 0 &&
         router_woken_[static_cast<std::size_t>(router_at(head_vc))] == 0;
-    if (asleep ||
-        !try_route_header(head_vc, static_cast<std::uint32_t>(i), ctx)) {
-      ShardRouteFailure failure;
-      failure.scan_index = static_cast<std::uint32_t>(i);
-      failure.head_vc = head_vc;
-      ctx.failures.push_back(failure);
-    }
+    if (!asleep) try_route_header(head_vc, static_cast<std::uint32_t>(i), ctx);
   }
 }
 
@@ -324,22 +317,21 @@ void Network::route_grants(NodeId node, ShardCtx& ctx) {
   }
 }
 
-void Network::fill_route_memo(const Message& msg, const VcState& head,
-                              RouteMemo& memo) const {
-  memo.head_vc = head.id;
-  memo.held_size = static_cast<std::int32_t>(msg.held.size());
-  memo.channels.clear();
+void Network::route_candidates(const Message& msg, const VcState& head,
+                               std::vector<ChannelId>& channels,
+                               std::vector<VcId>& vcs) const {
+  channels.clear();
   const NodeId here = phys(head.channel).dst;
   if (here == msg.dst) {
-    memo.channels.push_back(ejection_channel(here));
+    channels.push_back(ejection_channel(here));
   } else {
-    routing_->candidate_channels(*this, msg, here, head.id, memo.channels);
-    assert(!memo.channels.empty());
+    routing_->candidate_channels(*this, msg, here, head.id, channels);
+    assert(!channels.empty());
   }
 
-  memo.vcs.clear();
+  vcs.clear();
   const bool high_first = routing_->prefer_high_vc_indices();
-  for (const ChannelId ch : memo.channels) {
+  for (const ChannelId ch : channels) {
     const PhysChannel& pc = phys(ch);
     for (int j = 0; j < pc.num_vcs; ++j) {
       const int idx = high_first ? pc.num_vcs - 1 - j : j;
@@ -347,13 +339,13 @@ void Network::fill_route_memo(const Message& msg, const VcState& head,
           !routing_->vc_allowed(*this, msg, ch, idx, head.id)) {
         continue;
       }
-      memo.vcs.push_back(pc.first_vc + idx);
+      vcs.push_back(pc.first_vc + idx);
     }
   }
-  assert(!memo.vcs.empty());
+  assert(!vcs.empty());
 }
 
-bool Network::try_route_header(VcId head_vc, std::uint32_t scan_index,
+void Network::try_route_header(VcId head_vc, std::uint32_t scan_index,
                                ShardCtx& ctx) {
   VcState& v = vcs_[static_cast<std::size_t>(head_vc)];
   assert(v.owner != kInvalidMessage && v.route_out == kInvalidVc);
@@ -361,72 +353,67 @@ bool Network::try_route_header(VcId head_vc, std::uint32_t scan_index,
   Message& msg = messages_[static_cast<std::size_t>(v.owner)];
   const std::uint64_t key = kRetryKeyBase + scan_index;
 
-  // A header that failed here before, with the same held chain, gets the
-  // same candidates and allowed VCs: replay them (DESIGN.md §3h).
-  RouteMemo& memo = route_memo_[static_cast<std::size_t>(msg.id)];
-  const bool stale =
-      memo.head_vc != head_vc ||
-      memo.held_size != static_cast<std::int32_t>(msg.held.size());
-  if (stale) fill_route_memo(msg, v, memo);
-
+  std::vector<ChannelId>& channels = ctx.scratch_channels;
+  std::vector<VcId>& wants = ctx.scratch_vcs;
+  route_candidates(msg, v, channels, wants);
   const auto is_free = [this](VcId id) {
     return vcs_[static_cast<std::size_t>(id)].is_free();
   };
-  if (std::any_of(memo.vcs.begin(), memo.vcs.end(), is_free)) {
+  if (std::any_of(wants.begin(), wants.end(), is_free)) {
     // Order the candidates by the selection policy and take the first free
     // allowed VC. A one-channel list is left as is and draws nothing (the
     // SelectionPolicy::order contract). The stream is a pure function of
     // (seed, message, cycle): no shard schedule, visit order or skipped
     // retry can change a draw.
-    ctx.scratch_channels.assign(memo.channels.begin(), memo.channels.end());
-    if (ctx.scratch_channels.size() > 1) {
+    if (channels.size() > 1) {
       Pcg32 rng(config_.seed ^ (0x9e3779b97f4a7c15ULL *
                                 (static_cast<std::uint64_t>(msg.id) + 1)),
                 static_cast<std::uint64_t>(now_));
-      selection_->order(*this, msg, v.id, ctx.scratch_channels, rng);
+      selection_->order(*this, msg, v.id, channels, rng);
     }
-    for (const ChannelId ch : ctx.scratch_channels) {
-      // The channel's allowed VCs: the memo's run of ids in its VC range.
+    for (const ChannelId ch : channels) {
+      // The channel's allowed VCs: the run of `wants` in its VC range.
       const PhysChannel& pc = phys(ch);
       const auto in_channel = [&pc](VcId id) {
         return id >= pc.first_vc && id < pc.first_vc + pc.num_vcs;
       };
-      auto it = std::find_if(memo.vcs.begin(), memo.vcs.end(), in_channel);
-      for (; it != memo.vcs.end() && in_channel(*it); ++it) {
+      auto it = std::find_if(wants.begin(), wants.end(), in_channel);
+      for (; it != wants.end() && in_channel(*it); ++it) {
         VcState& w = vcs_[static_cast<std::size_t>(*it)];
         if (w.is_free()) {
           acquire_vc(msg, v, w, key, ctx);
-          return true;
+          return;
         }
       }
     }
-    assert(false && "a free memo VC lies in some candidate channel");
+    assert(false && "a free allowed VC lies in some candidate channel");
   }
 
   // Blocked: sleep until a requested VC is released or the held chain
   // shrinks, and watch every requested VC for its release.
   dormant_[static_cast<std::size_t>(head_vc)] = 1;
-  for (const VcId want : memo.vcs) watched_[static_cast<std::size_t>(want)] = 1;
+  for (const VcId want : wants) watched_[static_cast<std::size_t>(want)] = 1;
 
-  // The request set is the memo's VC list. A valid memo was stored as the
-  // request set at the failure that filled it, so nothing changed.
+  // The request set is the fresh VC list. A blocked header whose answer did
+  // not change since it was stored (a woken header whose freed VC was taken
+  // first, a held-chain shrink its relation ignores, a dense-oracle retry)
+  // changes nothing.
   const bool newly_blocked = !msg.blocked;
-  if (!newly_blocked && !stale) return false;
-  ctx.scratch_old_requests.swap(msg.request_set);
-  msg.request_set.assign(memo.vcs.begin(), memo.vcs.end());
+  if (!newly_blocked && msg.request_set == wants) return;
+  msg.request_set.swap(wants);  // `wants` now holds the old request set
   // Dashed-arc delta. Request sets are tiny (one entry per candidate VC),
   // so the quadratic diff is cheaper than sorting.
   const auto absent = [](const std::vector<VcId>& set, VcId id) {
     return std::find(set.begin(), set.end(), id) == set.end();
   };
-  const std::vector<VcId>& old_requests = ctx.scratch_old_requests;
+  const std::vector<VcId>& old_requests = wants;
   const bool changed =
       newly_blocked ||
       std::any_of(msg.request_set.begin(), msg.request_set.end(),
                   [&](VcId id) { return absent(old_requests, id); }) ||
       std::any_of(old_requests.begin(), old_requests.end(),
                   [&](VcId id) { return absent(msg.request_set, id); });
-  if (!changed) return false;  // reordered only: the same dashed arcs
+  if (!changed) return;  // reordered only: the same dashed arcs
   ++ctx.epoch;
   if (newly_blocked) {
     msg.blocked = true;
@@ -451,7 +438,6 @@ bool Network::try_route_header(VcId head_vc, std::uint32_t scan_index,
       }
     }
   }
-  return false;
 }
 
 void Network::wake_requesters(VcId vc) {
@@ -484,8 +470,6 @@ void Network::acquire_vc(Message& msg, VcState& from, VcState& target,
   target.route_in = from.id;
   from.route_out = target.id;
   msg.held.push_back(target.id);
-  // The header moves on: its memo described the old router.
-  route_memo_[static_cast<std::size_t>(msg.id)].head_vc = kInvalidVc;
   ++ctx.epoch;  // new solid arc; the unblocked message drops its dashed arcs
   // The target channel is out of the header's router, so it belongs to this
   // shard: wake it directly.
@@ -515,16 +499,19 @@ void Network::commit_route() {
         active_.push_back(id);
       });
 
-  // Rebuild pending_ from the failures, in rotated-scan order.
-  scratch_pending_.clear();
-  merge_shards(
-      &ShardCtx::failures,
-      [](const ShardRouteFailure& failure) { return failure.scan_index; },
-      [this](const ShardRouteFailure& failure) {
-        scratch_pending_.push_back(failure.head_vc);
-      });
-  blocked_count_ = static_cast<int>(scratch_pending_.size());
-  pending_.swap(scratch_pending_);
+  // pending_ keeps the walk's order: rotate it by the walk's start (no
+  // route worker touches pending_, so its length is the walk's) and drop
+  // the headers granted a VC.
+  if (!pending_.empty()) {
+    const std::size_t start = static_cast<std::size_t>(now_) % pending_.size();
+    std::rotate(pending_.begin(),
+                pending_.begin() + static_cast<std::ptrdiff_t>(start),
+                pending_.end());
+    std::erase_if(pending_, [this](VcId v) {
+      return vcs_[static_cast<std::size_t>(v)].route_out != kInvalidVc;
+    });
+  }
+  blocked_count_ = static_cast<int>(pending_.size());
 
   for (const ShardCtx& ctx : shard_ctx_) counters_.injected += ctx.injected;
 
@@ -672,9 +659,10 @@ void Network::push_move(const ShardMove& move, ShardCtx& ctx) {
   if (tail_left_upstream) {
     assert(!msg.held.empty() && msg.held.front() == u.id);
     msg.held.erase(msg.held.begin());
-    // A blocked header's memo key moved with its held chain, and a released
-    // VC may be one a dormant header watches: wake them. Both touch other
-    // shards' bytes, so more shards apply them at commit.
+    // A blocked header's routing answer may read its held chain, which
+    // just shrank, and a released VC may be one a dormant header watches:
+    // wake them. Both touch other shards' bytes, so more shards apply them
+    // at commit.
     const bool watched = watched_[static_cast<std::size_t>(u.id)] != 0;
     if constexpr (kInline) {
       if (msg.blocked) dormant_[static_cast<std::size_t>(msg.held.back())] = 0;

@@ -9,9 +9,10 @@
 // shard (their nodes' queues/ejection VCs, their channels' VCs and cursors),
 // (b) exclusively-held cross-shard cells (an upstream VC being popped by its
 // unique downstream mover), and (c) their own ShardCtx. Everything ordered —
-// the active_ list, the pending rotation, the trace stream, counters — is
+// the active_ list, new pending headers, the trace stream, counters — is
 // buffered here with a canonical sort key and committed single-threaded, so
-// an N-shard run is byte-identical to the 1-shard run.
+// an N-shard run is byte-identical to the 1-shard run. The pending rotation
+// needs no buffer: the route commit rotates pending_ itself.
 #pragma once
 
 #include <cstdint>
@@ -37,14 +38,6 @@ struct ShardDelivery {
   VcId eject_vc = kInvalidVc;
   std::int32_t seq = 0;   ///< Flit sequence number (trace payload).
   bool tail = false;      ///< Completes the message at commit.
-};
-
-/// A route-phase allocation failure: the header stays pending. Tagged with
-/// its position in this cycle's rotated scan so the commit can rebuild
-/// pending_ in exactly the order the one-shard walk would have.
-struct ShardRouteFailure {
-  std::uint32_t scan_index = 0;
-  VcId head_vc = kInvalidVc;
 };
 
 /// A transmit move decided against transmit-start state (decide_move, in
@@ -98,7 +91,6 @@ struct ShardCtx {
 
   std::vector<MessageId> grants;  ///< Injection grants, node-then-queue order.
   std::int64_t injected = 0;
-  std::vector<ShardRouteFailure> failures;
 
   std::vector<ShardMove> moves;
   std::vector<ShardPendingAdd> pending_adds;
@@ -115,8 +107,10 @@ struct ShardCtx {
   std::vector<ShardTraceRecord> trace_buf;
 
   // --- reusable header-routing scratch -------------------------------------
+  // A retry's candidate channels (selection orders them in place) and their
+  // allowed VCs; a request-set change swaps the old set into scratch_vcs.
   std::vector<ChannelId> scratch_channels;
-  std::vector<VcId> scratch_old_requests;
+  std::vector<VcId> scratch_vcs;
 };
 
 }  // namespace flexnet

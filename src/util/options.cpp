@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -114,6 +115,24 @@ void Options::reject_unknown(std::span<const std::string_view> known) const {
     if (std::find(known.begin(), known.end(), entry.first) == known.end()) {
       throw std::invalid_argument("unknown option --" + entry.first);
     }
+  }
+}
+
+int run_main(int argc, const char* const* argv,
+             std::span<const std::string_view> known,
+             int (*run)(const Options&)) {
+  std::string error;
+  const std::optional<Options> opts = Options::parse(argc, argv, &error);
+  if (!opts) {
+    std::fprintf(stderr, "argument error: %s\n", error.c_str());
+    return 1;
+  }
+  try {
+    opts->reject_unknown(known);
+    return run(*opts);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
 }
 

@@ -54,6 +54,13 @@ class Options {
   std::vector<std::string> positional_;
 };
 
+/// A binary's main(): parses argv, rejects any option not in `known`, and
+/// returns `run`'s exit code. A malformed command line, an unknown option
+/// or an exception thrown by `run` is printed to stderr and returns 1.
+int run_main(int argc, const char* const* argv,
+             std::span<const std::string_view> known,
+             int (*run)(const Options&));
+
 /// Reads a scale factor from the FLEXNET_BENCH_SCALE environment variable
 /// (default 1.0); bench binaries multiply their warmup/measure windows by it
 /// so CI can run quick smoke passes.

@@ -3,8 +3,9 @@
 // must be bit-identical in every observable way — per-cycle network state
 // bytes, detector verdicts, snapshots, traces, metrics streams and telemetry
 // manifests (DESIGN.md §3j). The suite locksteps the three for DOR, TFAR and
-// TableMin at light / medium / saturation load and for multi-VC adaptive
-// routing with faults, replays the committed deadlock corpus in every mode,
+// TableMin at light / medium / saturation load, for multi-VC adaptive
+// routing with faults and for the DuatoTFAR and Random-selection TFAR
+// variants, replays the committed deadlock corpus in every mode,
 // crosses modes over a mid-run checkpoint, and pins the recovery-wakeup
 // contract: a network that just had a message removed must drain without a
 // dense sweep. The header-wake cases check that a dormant header is retried
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "lockstep.hpp"
+#include "routing_variants.hpp"
 #include "routing/dor.hpp"
 #include "routing/routing.hpp"
 #include "routing/selection.hpp"
@@ -58,6 +60,22 @@ TEST(StepEquivalence, MultiVcAdaptiveWithFaults) {
   cfg.sim.vcs = 3;
   cfg.sim.link_fault_fraction = 0.05;
   run_lockstep(cfg, 2000, 8);
+}
+
+TEST(StepEquivalence, AdaptiveVariantsWithRepeatedAnswers) {
+  // Adaptive variants in which about a quarter of the header retries find
+  // the routing answer unchanged since the header's last failure: several
+  // candidate channels and VCs to recompute on each retry, and Random
+  // selection's per-(message, cycle) draws.
+  for (const RoutingVariant& variant : kRoutingVariants) {
+    if (variant.name != "DuatoTFAR, 3 VCs" &&
+        variant.name != "TFAR, 2 VCs, Random") {
+      continue;
+    }
+    SCOPED_TRACE(std::string(variant.name));
+    run_lockstep(apply_variant(grid_config(RoutingKind::TFAR, 0.6), variant),
+                 2000, 8);
+  }
 }
 
 TEST(StepEquivalence, CommittedCorpusReplaysInEveryMode) {

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "util/json.hpp"
@@ -120,26 +121,20 @@ void print_final(const JsonValue& rec) {
   }
 }
 
-}  // namespace
+// Every option this tool reads.
+constexpr std::string_view kOptions[] = {"follow", "summary", "idle-limit"};
 
-int main(int argc, char** argv) {
-  using namespace flexnet;
-  std::string error;
-  const auto opts = Options::parse(argc, argv, &error);
-  if (!opts) {
-    std::fprintf(stderr, "argument error: %s\n", error.c_str());
-    return 1;
-  }
-  if (opts->positional().size() != 1) {
+int tail(const flexnet::Options& opts) {
+  if (opts.positional().size() != 1) {
     std::fprintf(stderr,
                  "usage: metrics_tail STREAM.ndjson [--follow] [--summary] "
                  "[--idle-limit SECONDS]\n");
     return 1;
   }
-  const std::string& path = opts->positional().front();
-  const bool follow = opts->get_bool("follow", false);
-  const bool summary = opts->get_bool("summary", false);
-  const long long idle_limit = opts->get_int("idle-limit", 30);
+  const std::string& path = opts.positional().front();
+  const bool follow = opts.get_bool("follow", false);
+  const bool summary = opts.get_bool("summary", false);
+  const long long idle_limit = opts.get_int("idle-limit", 30);
 
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -220,4 +215,10 @@ int main(int argc, char** argv) {
     print_sample_line(last_sample);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return flexnet::run_main(argc, argv, kOptions, tail);
 }

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "util/json.hpp"
 #include "util/options.hpp"
@@ -229,27 +230,14 @@ int dump_metrics(const std::string& path) {
   return 0;
 }
 
-}  // namespace
+// Every option this tool reads.
+constexpr std::string_view kOptions[] = {"metrics", "series", "hot"};
 
-int main(int argc, char** argv) {
-  using namespace flexnet;
-  std::string error;
-  const auto opts = Options::parse(argc, argv, &error);
-  if (!opts) {
-    std::fprintf(stderr, "argument error: %s\n", error.c_str());
-    return 1;
-  }
-  bool series = false;
-  bool hot = false;
-  try {
-    if (opts->has("metrics")) return dump_metrics(opts->get("metrics"));
-    series = opts->get_bool("series", false);
-    hot = opts->get_bool("hot", false);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "argument error: %s\n", e.what());
-    return 1;
-  }
-  if (opts->positional().empty()) {
+int dump(const flexnet::Options& opts) {
+  if (opts.has("metrics")) return dump_metrics(opts.get("metrics"));
+  const bool series = opts.get_bool("series", false);
+  const bool hot = opts.get_bool("hot", false);
+  if (opts.positional().empty()) {
     std::fprintf(stderr,
                  "usage: telemetry_dump MANIFEST... [--series] [--hot]\n"
                  "       telemetry_dump --metrics STREAM.ndjson\n");
@@ -257,7 +245,7 @@ int main(int argc, char** argv) {
   }
 
   bool first = true;
-  for (const std::string& path : opts->positional()) {
+  for (const std::string& path : opts.positional()) {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
       std::fprintf(stderr, "cannot open %s\n", path.c_str());
@@ -271,7 +259,7 @@ int main(int argc, char** argv) {
       root = JsonValue::parse(buffer.str());
       if (!first) std::printf("\n");
       first = false;
-      if (opts->positional().size() > 1) std::printf("== %s ==\n", path.c_str());
+      if (opts.positional().size() > 1) std::printf("== %s ==\n", path.c_str());
       if (series) {
         print_series_csv(root);
       } else if (hot) {
@@ -285,4 +273,10 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return flexnet::run_main(argc, argv, kOptions, dump);
 }

@@ -9,27 +9,29 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/sinks.hpp"
 #include "util/options.hpp"
 
-int main(int argc, char** argv) {
-  using namespace flexnet;
-  std::string error;
-  const auto opts = Options::parse(argc, argv, &error);
-  if (!opts) {
-    std::fprintf(stderr, "argument error: %s\n", error.c_str());
-    return 1;
-  }
-  if (opts->positional().empty()) {
+namespace {
+
+using namespace flexnet;
+
+// Every option this tool reads.
+constexpr std::string_view kOptions[] = {"stats", "message", "kind",
+                                         "from",  "to",      "tail"};
+
+int dump(const Options& opts) {
+  if (opts.positional().empty()) {
     std::fprintf(stderr,
                  "usage: trace_dump FILE [--stats] [--message M] [--kind K] "
                  "[--from C] [--to C] [--tail N]\n");
     return 1;
   }
 
-  const std::string path = opts->positional().front();
+  const std::string path = opts.positional().front();
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "cannot open %s\n", path.c_str());
@@ -45,17 +47,17 @@ int main(int argc, char** argv) {
   }
 
   TraceEventKind kind_filter = TraceEventKind::kCount_;
-  if (opts->has("kind")) {
-    kind_filter = parse_trace_event_kind(opts->get("kind"));
+  if (opts.has("kind")) {
+    kind_filter = parse_trace_event_kind(opts.get("kind"));
     if (kind_filter == TraceEventKind::kCount_) {
       std::fprintf(stderr, "unknown event kind: %s\n",
-                   opts->get("kind").c_str());
+                   opts.get("kind").c_str());
       return 1;
     }
   }
-  const long long message_filter = opts->get_int("message", -1);
-  const long long from = opts->get_int("from", -1);
-  const long long to = opts->get_int("to", -1);
+  const long long message_filter = opts.get_int("message", -1);
+  const long long from = opts.get_int("from", -1);
+  const long long to = opts.get_int("to", -1);
 
   std::vector<TraceEvent> selected;
   for (const TraceEvent& e : events) {
@@ -66,7 +68,7 @@ int main(int argc, char** argv) {
     selected.push_back(e);
   }
 
-  const long long tail = opts->get_int("tail", -1);
+  const long long tail = opts.get_int("tail", -1);
   if (tail >= 0 && selected.size() > static_cast<std::size_t>(tail)) {
     selected.erase(selected.begin(),
                    selected.end() - static_cast<std::ptrdiff_t>(tail));
@@ -85,7 +87,7 @@ int main(int argc, char** argv) {
     last = e.cycle;
   }
 
-  if (opts->get_bool("stats", false)) {
+  if (opts.get_bool("stats", false)) {
     std::printf("cycles [%lld, %lld]\n", static_cast<long long>(first),
                 static_cast<long long>(last));
     for (std::size_t i = 0; i < counts.size(); ++i) {
@@ -108,4 +110,10 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return flexnet::run_main(argc, argv, kOptions, dump);
 }

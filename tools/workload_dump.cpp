@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include "sim/message_class.hpp"
 #include "util/options.hpp"
@@ -96,46 +97,42 @@ void dump_pace(const PaceProfile& profile, const std::string& origin) {
   }
 }
 
-}  // namespace
+// Every option this tool reads.
+constexpr std::string_view kOptions[] = {"spec", "head"};
 
-int main(int argc, char** argv) {
-  std::string error;
-  const auto opts = Options::parse(argc, argv, &error);
-  if (!opts) {
-    std::fprintf(stderr, "argument error: %s\n", error.c_str());
-    return 1;
-  }
-  const bool has_spec = opts->has("spec");
-  if (opts->positional().size() + (has_spec ? 1 : 0) != 1) {
+int dump(const Options& opts) {
+  const bool has_spec = opts.has("spec");
+  if (opts.positional().size() + (has_spec ? 1 : 0) != 1) {
     std::fprintf(stderr,
                  "usage: workload_dump FILE.trace|FILE.pace [--head N]\n"
                  "       workload_dump --spec 'burst(period,duty,peak)'\n");
     return 1;
   }
-  try {
-    if (has_spec) {
-      dump_pace(parse_pace_spec(opts->get("spec")), opts->get("spec"));
-      return 0;
-    }
-    const std::string& path = opts->positional().front();
-    std::ifstream probe(path);
-    if (!probe) {
-      std::fprintf(stderr, "cannot open %s\n", path.c_str());
-      return 1;
-    }
-    std::string magic;
-    std::getline(probe, magic);
-    probe.close();
-    if (magic == kPaceMagic) {
-      dump_pace(load_pace_file(path), path);
-    } else {
-      // Anything else goes through the trace parser, whose bad-magic error
-      // names the expected format.
-      dump_trace(path, opts->get_int("head", 0));
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
+  if (has_spec) {
+    dump_pace(parse_pace_spec(opts.get("spec")), opts.get("spec"));
+    return 0;
+  }
+  const std::string& path = opts.positional().front();
+  std::ifstream probe(path);
+  if (!probe) {
+    std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 1;
   }
+  std::string magic;
+  std::getline(probe, magic);
+  probe.close();
+  if (magic == kPaceMagic) {
+    dump_pace(load_pace_file(path), path);
+  } else {
+    // Anything else goes through the trace parser, whose bad-magic error
+    // names the expected format.
+    dump_trace(path, opts.get_int("head", 0));
+  }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return flexnet::run_main(argc, argv, kOptions, dump);
 }
