@@ -58,7 +58,7 @@ int DeadlockDetector::run_detection(Network& net) {
       ++skipped_passes_;
       if (pressure_.valid) pressure_.computed_at = net.now();
       if (cached_knots_.empty()) return 0;
-      return process_knots(net, scratch_.cwg());
+      return process_knots(net, cwg_);
     }
     if (net.blocked_message_count() == 0) {
       // No blocked messages means no dashed arcs; the CWG is a disjoint
@@ -75,7 +75,8 @@ int DeadlockDetector::run_detection(Network& net) {
     }
   }
 
-  const Cwg& cwg = scratch_.rebuild(net);
+  cwg_.rebuild_from_network(net);
+  const Cwg& cwg = cwg_;
 
   if (sample_due) {
     const CycleEnumeration total =
@@ -89,12 +90,25 @@ int DeadlockDetector::run_detection(Network& net) {
     cycle_samples_.push_back(sample);
   }
 
-  cached_knots_ =
-      config_.full_rebuild ? find_knots(cwg) : scratch_.find_knots_blocked();
-  if (!config_.full_rebuild) {
-    const BlockedSubgraphStats& stats = scratch_.blocked_stats();
-    pressure_ = PressureStats{net.now(), stats.closure_size, stats.largest_scc,
-                              stats.knots, true};
+  if (config_.full_rebuild) {
+    cached_knots_ = find_knots(cwg);
+  } else {
+    // Solid arcs form vertex-disjoint paths, so every cycle holds a dashed
+    // arc, and dashed arcs leave only blocked tips: every knot lies in what
+    // the tips reach. That set has no arc leaving it, so the components,
+    // terminality and self-loops found there are the whole graph's.
+    tips_.clear();
+    for (const CwgMessage& msg : cwg.messages()) {
+      if (!msg.requests.empty()) tips_.push_back(msg.held.back());
+    }
+    strongly_connected_components(cwg.graph(), tips_, scc_, scc_scratch_);
+    cached_knots_ = knots_from_scc(cwg.graph(), scc_);
+    characterize_knots(cwg, cached_knots_);
+    const auto largest = std::max_element(scc_.size.begin(), scc_.size.end());
+    pressure_ = PressureStats{
+        net.now(), static_cast<std::int64_t>(scc_.reached.size()),
+        largest == scc_.size.end() ? 0 : *largest,
+        static_cast<std::int64_t>(cached_knots_.size()), true};
   }
   cached_density_.assign(cached_knots_.size(), CachedDensity{});
   cached_net_ = &net;

@@ -12,8 +12,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/incremental.hpp"
+#include "core/cwg.hpp"
 #include "core/knot.hpp"
+#include "core/scc.hpp"
 #include "sim/config.hpp"
 #include "sim/message_class.hpp"
 #include "util/rng.hpp"
@@ -72,10 +73,10 @@ struct DetectorConfig {
   int livelock_hop_limit = 0;
 
   /// Disables the incremental pipeline (arc-epoch gating, verdict reuse,
-  /// blocked-subgraph SCC): every pass rebuilds the CWG and runs Tarjan over
-  /// all VCs. The two paths are bit-identical in verdicts, records, and hook
-  /// firings; this one exists as the equivalence-test oracle and an escape
-  /// hatch (--detector-full-rebuild).
+  /// Tarjan from the blocked tips only): every pass rebuilds the CWG and
+  /// runs Tarjan from every VC. The two paths are bit-identical in verdicts,
+  /// records, and hook firings; this one exists as the equivalence-test
+  /// oracle and an escape hatch (--detector-full-rebuild).
   bool full_rebuild = false;
 };
 
@@ -94,13 +95,14 @@ struct DeadlockRecord {
 };
 
 /// The detector's CWG-pressure reading, refreshed at every detection pass by
-/// the incremental pipeline: blocked-closure size and largest blocked-SCC
-/// from CwgScratch, plus the knot count. `computed_at` advances on every
-/// pass that (re)validates the reading — including epoch-gated skips, where
-/// the unchanged arc epoch proves the stats still describe the live CWG.
+/// the incremental pipeline: how many VCs its Tarjan search from the blocked
+/// tips reached, their largest SCC, and the knot count. `computed_at`
+/// advances on every pass that (re)validates the reading — including
+/// epoch-gated skips, where the unchanged arc epoch proves the stats still
+/// describe the live CWG.
 /// Process-local and never serialized (like all scratch state); a restored
 /// detector reports valid=false until its first pass. The full-rebuild
-/// oracle does not produce subgraph stats, so it leaves valid=false too.
+/// oracle searches from every VC, so it leaves valid=false too.
 struct PressureStats {
   Cycle computed_at = -1;
   std::int64_t closure_size = 0;  ///< VCs reachable from blocked tips.
@@ -222,7 +224,10 @@ class DeadlockDetector {
   // --- incremental pipeline state (never serialized: save_state/restore_state
   // deliberately exclude everything below so snapshots stay format-stable and
   // path-independent; restore_state just invalidates the cache) --------------
-  CwgScratch scratch_;
+  Cwg cwg_;  ///< Rebuilt in place every non-skipped pass.
+  std::vector<int> tips_;  ///< Tarjan's roots: each blocked message's tip.
+  SccResult scc_;
+  SccScratch scc_scratch_;
   std::vector<MessageId> livelock_scratch_;
   std::int64_t skipped_passes_ = 0;
   PressureStats pressure_;

@@ -6,13 +6,12 @@
 
 namespace flexnet {
 
-std::vector<Knot> knots_from_scc(const Digraph& g, const SccResult& scc,
-                                 std::span<const int> to_global) {
+std::vector<Knot> knots_from_scc(const Digraph& g, const SccResult& scc) {
   // A component is terminal when no member has an edge leaving it; it is a
   // knot when it additionally contains an edge (size >= 2, or a self-loop).
   std::vector<bool> terminal(static_cast<std::size_t>(scc.num_components), true);
   std::vector<bool> has_self_loop(static_cast<std::size_t>(scc.num_components), false);
-  for (int v = 0; v < g.num_vertices(); ++v) {
+  for (const int v : scc.reached) {
     const int cv = scc.component[static_cast<std::size_t>(v)];
     for (const int w : g.out(v)) {
       if (w == v) {
@@ -35,18 +34,19 @@ std::vector<Knot> knots_from_scc(const Digraph& g, const SccResult& scc,
   }
   if (knots.empty()) return knots;
 
-  for (int v = 0; v < g.num_vertices(); ++v) {
+  for (const int v : scc.reached) {
     const int k =
         knot_of_comp[static_cast<std::size_t>(scc.component[static_cast<std::size_t>(v)])];
-    if (k >= 0) {
-      knots[static_cast<std::size_t>(k)].knot_vcs.push_back(
-          to_global.empty() ? v : to_global[static_cast<std::size_t>(v)]);
-    }
+    if (k >= 0) knots[static_cast<std::size_t>(k)].knot_vcs.push_back(v);
   }
 
-  // Tarjan numbers components in DFS-dependent order, which differs between
-  // the full graph and an induced subgraph. Sorting by each knot's smallest
-  // VC (knots are disjoint) makes the output order canonical.
+  // Tarjan lists a component's members and numbers components in
+  // DFS-dependent order, which depends on where the search started. Sorting
+  // each knot's VCs, then the knots by their smallest VC (knots are
+  // disjoint), makes the output canonical.
+  for (Knot& knot : knots) {
+    std::sort(knot.knot_vcs.begin(), knot.knot_vcs.end());
+  }
   std::sort(knots.begin(), knots.end(), [](const Knot& a, const Knot& b) {
     return a.knot_vcs.front() < b.knot_vcs.front();
   });

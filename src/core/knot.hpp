@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "core/cwg.hpp"
@@ -36,19 +35,18 @@ struct Knot {
 /// Finds every knot in the CWG. An empty result means no deadlock exists,
 /// regardless of how many cycles the graph contains. Knots are ordered by
 /// their smallest VC — canonical regardless of how the SCC pass numbered
-/// components, so the full-graph and blocked-subgraph pipelines agree.
+/// components, so a search from every vertex and one from the blocked tips
+/// agree.
 [[nodiscard]] std::vector<Knot> find_knots(const Cwg& cwg);
 
 struct SccResult;  // core/scc.hpp
 
-/// Extracts the knots (terminal SCCs containing an edge) of `g` given its
-/// SCC decomposition, filling only knot_vcs (sorted ascending; knots ordered
-/// by smallest VC). When `to_global` is non-empty, `g` is an induced
-/// subgraph and vertex v is reported as to_global[v]; the mapping must be
-/// strictly increasing so sortedness is preserved.
+/// Extracts the knots (terminal SCCs containing an edge) among the
+/// components `scc` reached in `g`, filling only knot_vcs (sorted ascending;
+/// knots ordered by smallest VC). The reached set must have no arc leaving
+/// it, as every search's does.
 [[nodiscard]] std::vector<Knot> knots_from_scc(const Digraph& g,
-                                               const SccResult& scc,
-                                               std::span<const int> to_global = {});
+                                               const SccResult& scc);
 
 /// Fills each knot's deadlock set, resource set, and dependent messages from
 /// the owning CWG (the paper's Section 2.2 characterization).

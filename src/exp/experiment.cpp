@@ -203,7 +203,7 @@ Snapshot Simulation::make_checkpoint() const {
   if (obs_) {
     BinWriter out;
     obs_->save_state(out);
-    snap.obs_state = out.bytes();
+    snap.obs_state = std::move(out).bytes();
   }
   return snap;
 }

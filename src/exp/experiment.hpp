@@ -176,9 +176,6 @@ class Simulation {
 
   /// Non-null iff TraceConfig enabled the corresponding component.
   [[nodiscard]] Tracer* tracer() noexcept { return tracer_.get(); }
-  [[nodiscard]] const RingBufferSink* trace_ring() const noexcept {
-    return ring_.get();
-  }
   [[nodiscard]] DeadlockForensics* forensics() noexcept {
     return forensics_.get();
   }

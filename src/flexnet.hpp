@@ -18,7 +18,6 @@
 #include "core/detector.hpp"     // IWYU pragma: export
 #include "core/dot.hpp"          // IWYU pragma: export
 #include "core/graph.hpp"        // IWYU pragma: export
-#include "core/incremental.hpp"  // IWYU pragma: export
 #include "core/knot.hpp"         // IWYU pragma: export
 #include "core/pwg.hpp"          // IWYU pragma: export
 #include "core/recovery.hpp"     // IWYU pragma: export

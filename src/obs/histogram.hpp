@@ -67,9 +67,6 @@ class LogHistogram {
     return count_ > 0 ? static_cast<double>(sum_) / static_cast<double>(count_)
                       : 0.0;
   }
-  [[nodiscard]] std::int64_t bucket_count(int b) const {
-    return counts_.at(static_cast<std::size_t>(b));
-  }
 
   /// Quantile estimate for q in [0, 1]: linear interpolation inside the
   /// bucket holding the ceil(q * count)-th sample, clamped by the recorded

@@ -179,16 +179,6 @@ class ObsCollector {
   [[nodiscard]] std::uint64_t samples_recorded() const noexcept {
     return samples_recorded_;
   }
-  [[nodiscard]] const LogHistogram& latency_histogram() const noexcept {
-    return latency_hist_;
-  }
-  [[nodiscard]] const LogHistogram& class_latency_histogram(
-      MessageClass cls) const noexcept {
-    return class_latency_hist_[class_index(cls)];
-  }
-  [[nodiscard]] const LogHistogram& stall_histogram() const noexcept {
-    return stall_hist_;
-  }
   [[nodiscard]] double peak_score() const noexcept { return peak_score_; }
   [[nodiscard]] std::int64_t warnings() const noexcept { return warning_count_; }
   [[nodiscard]] Cycle first_warning_cycle() const noexcept {

@@ -49,10 +49,6 @@ struct Message {
   [[nodiscard]] bool in_network() const noexcept {
     return status == MessageStatus::InFlight;
   }
-  [[nodiscard]] bool finished_ok() const noexcept {
-    return status == MessageStatus::Delivered ||
-           status == MessageStatus::Recovered;
-  }
   /// End-to-end latency from generation to completion; -1 while unfinished.
   [[nodiscard]] Cycle latency() const noexcept {
     return finished >= 0 ? finished - created : -1;

@@ -109,12 +109,6 @@ class Network {
   [[nodiscard]] Cycle now() const noexcept { return now_; }
   [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
   [[nodiscard]] const Topology& topology() const noexcept { return *topo_; }
-  /// Shared handle, for components that outlive or sibling the network
-  /// (snapshot capture, tools).
-  [[nodiscard]] const std::shared_ptr<const Topology>& topology_ptr()
-      const noexcept {
-    return topo_;
-  }
   [[nodiscard]] const RoutingAlgorithm& routing_algorithm() const noexcept {
     return *routing_;
   }
@@ -213,19 +207,9 @@ class Network {
     return static_cast<int>(shard_ctx_.size());
   }
 
-  /// Scheduler introspection: how many components the event-driven core will
-  /// visit next cycle. All zero on an idle network. Sums the per-shard sets
-  /// (they partition the components, so counts compose).
-  [[nodiscard]] std::size_t active_source_nodes() const noexcept {
-    std::size_t n = 0;
-    for (const ShardCtx& ctx : shard_ctx_) n += ctx.src_active.count();
-    return n;
-  }
-  [[nodiscard]] std::size_t active_eject_nodes() const noexcept {
-    std::size_t n = 0;
-    for (const ShardCtx& ctx : shard_ctx_) n += ctx.eject_active.count();
-    return n;
-  }
+  /// Scheduler introspection: how many channels the event-driven core will
+  /// visit next cycle. Zero on an idle network. Sums the per-shard sets
+  /// (they partition the channels, so counts compose).
   [[nodiscard]] std::size_t active_channels() const noexcept {
     std::size_t n = 0;
     for (const ShardCtx& ctx : shard_ctx_) n += ctx.chan_active.count();

@@ -329,24 +329,30 @@ Snapshot capture_snapshot(const SnapshotMeta& meta, const SimConfig& sim,
 
   BinWriter w;
   net.save_state(w);
-  snap.network_state = w.bytes();
+  snap.network_state = std::move(w).bytes();
 
   BinWriter wi;
   injection.save_state(wi);
-  snap.injection_state = wi.bytes();
+  snap.injection_state = std::move(wi).bytes();
 
   BinWriter wd;
   det.save_state(wd);
-  snap.detector_state = wd.bytes();
+  snap.detector_state = std::move(wd).bytes();
 
   BinWriter wm;
   metrics.save_state(wm);
-  snap.metrics_state = wm.bytes();
+  snap.metrics_state = std::move(wm).bytes();
   return snap;
 }
 
 std::vector<std::uint8_t> encode_snapshot(const Snapshot& snap) {
   BinWriter out;
+  // One buffer for the whole image: the state sections (megabytes on a 32k
+  // network) plus room for the small config sections, so the image is not
+  // copied as it grows.
+  out.reserve(kMagicLen + 4 + 64 * 1024 + snap.network_state.size() +
+              snap.injection_state.size() + snap.detector_state.size() +
+              snap.metrics_state.size() + snap.obs_state.size());
   out.raw(kSnapshotMagic, kMagicLen);
   out.u32(kSnapshotVersion);
 
@@ -388,7 +394,7 @@ std::vector<std::uint8_t> encode_snapshot(const Snapshot& snap) {
   write_section(out, kDetectorState, snap.detector_state);
   write_section(out, kMetrics, snap.metrics_state);
   if (!snap.obs_state.empty()) write_section(out, kObs, snap.obs_state);
-  return out.bytes();
+  return std::move(out).bytes();
 }
 
 Snapshot decode_snapshot(const std::uint8_t* data, std::size_t size) {

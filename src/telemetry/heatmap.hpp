@@ -55,15 +55,6 @@ class SpatialHeatmap {
   [[nodiscard]] const ChannelCounters& channel(ChannelId id) const {
     return channels_.at(static_cast<std::size_t>(id));
   }
-  [[nodiscard]] std::int64_t vc_traversals(VcId id) const {
-    return vc_traversals_.at(static_cast<std::size_t>(id));
-  }
-  [[nodiscard]] std::int64_t vc_busy_cycles(VcId id) const {
-    return vc_busy_.at(static_cast<std::size_t>(id));
-  }
-  [[nodiscard]] std::int64_t vc_blocked_cycles(VcId id) const {
-    return vc_blocked_.at(static_cast<std::size_t>(id));
-  }
   [[nodiscard]] std::int64_t injection_stall_cycles(NodeId node) const {
     return injection_stall_cycles_.at(static_cast<std::size_t>(node));
   }

@@ -55,22 +55,18 @@ const ForensicsReport& DeadlockForensics::on_deadlock(
     for (const TraceEvent& event : ring_->snapshot()) {
       if (members.count(event.message) != 0) timeline.push_back(event);
     }
-    if (timeline_limit_ > 0 && timeline.size() > timeline_limit_) {
+    if (timeline.size() > kTimelineLimit) {
       report.timeline_truncated = true;
       timeline.erase(timeline.begin(),
-                     timeline.end() - static_cast<std::ptrdiff_t>(timeline_limit_));
+                     timeline.end() - static_cast<std::ptrdiff_t>(kTimelineLimit));
     }
     report.timeline = std::move(timeline);
   }
 
-  if (record_dot_) {
-    report.dot = cwg_to_dot(cwg, std::span<const Knot>(&knot, 1));
-  }
+  report.dot = cwg_to_dot(cwg, std::span<const Knot>(&knot, 1));
 
   reports_.push_back(std::move(report));
-  if (max_reports_ > 0 && reports_.size() > max_reports_) {
-    reports_.erase(reports_.begin());
-  }
+  if (reports_.size() > kMaxReports) reports_.erase(reports_.begin());
   return reports_.back();
 }
 

@@ -52,18 +52,15 @@ struct ForensicsReport {
 
 class DeadlockForensics {
  public:
+  /// Reports retained; the oldest is dropped past this.
+  static constexpr std::size_t kMaxReports = 64;
+  /// Newest ring events kept in one report's timeline.
+  static constexpr std::size_t kTimelineLimit = 256;
+
   /// `ring` supplies formation history; may be nullptr (reports then carry
   /// structure but no timeline / last-progress data). Non-owning.
   explicit DeadlockForensics(const RingBufferSink* ring = nullptr)
       : ring_(ring) {}
-
-  void set_ring(const RingBufferSink* ring) noexcept { ring_ = ring; }
-  /// Caps retained reports (oldest dropped); 0 = unbounded. Default 64.
-  void set_max_reports(std::size_t max) noexcept { max_reports_ = max; }
-  /// Caps per-report timeline events. Default 256.
-  void set_timeline_limit(std::size_t limit) noexcept { timeline_limit_ = limit; }
-  /// Skip the (potentially large) DOT snapshot.
-  void set_record_dot(bool record) noexcept { record_dot_ = record; }
 
   /// Records one confirmed deadlock. Call with the CWG the knot was found in,
   /// before recovery removes the victim.
@@ -74,7 +71,6 @@ class DeadlockForensics {
   [[nodiscard]] const std::vector<ForensicsReport>& reports() const noexcept {
     return reports_;
   }
-  [[nodiscard]] std::int64_t total_recorded() const noexcept { return total_; }
 
   void clear() noexcept {
     reports_.clear();
@@ -85,9 +81,6 @@ class DeadlockForensics {
   const RingBufferSink* ring_ = nullptr;
   std::vector<ForensicsReport> reports_;
   std::int64_t total_ = 0;
-  std::size_t max_reports_ = 64;
-  std::size_t timeline_limit_ = 256;
-  bool record_dot_ = true;
 };
 
 /// Human-readable rendering of a report (the deadlock_anatomy / sweep_cli

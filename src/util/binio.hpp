@@ -12,6 +12,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace flexnet {
@@ -45,9 +46,14 @@ class BinWriter {
     std::memcpy(bytes_.data() + at, data, size);
   }
 
-  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const noexcept {
+  [[nodiscard]] const std::vector<std::uint8_t>& bytes() const& noexcept {
     return bytes_;
   }
+  /// Hands the buffer over without copying it.
+  [[nodiscard]] std::vector<std::uint8_t> bytes() && noexcept {
+    return std::move(bytes_);
+  }
+  void reserve(std::size_t size) { bytes_.reserve(size); }
   [[nodiscard]] std::size_t size() const noexcept { return bytes_.size(); }
 
   /// Overwrites a previously written u64 at `offset` (section length

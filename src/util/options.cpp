@@ -18,8 +18,9 @@ namespace {
 }
 }  // namespace
 
-std::optional<Options> Options::parse(int argc, const char* const* argv,
-                                      std::string* error) {
+std::optional<Options> Options::parse(
+    int argc, const char* const* argv, std::string* error,
+    std::span<const std::string_view> flags) {
   Options opts;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -38,9 +39,12 @@ std::optional<Options> Options::parse(int argc, const char* const* argv,
           std::string(body.substr(eq + 1));
       continue;
     }
-    // `--name value` if the next token is not itself an option; otherwise a
-    // boolean flag.
-    if (i + 1 < argc && std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
+    // `--name value` if the next token is not itself an option and `name`
+    // is not a declared flag; otherwise a bare flag.
+    const bool flag =
+        std::find(flags.begin(), flags.end(), body) != flags.end();
+    if (!flag && i + 1 < argc &&
+        std::string_view(argv[i + 1]).rfind("--", 0) != 0) {
       opts.values_[std::string(body)] = argv[i + 1];
       ++i;
     } else {
@@ -120,9 +124,10 @@ void Options::reject_unknown(std::span<const std::string_view> known) const {
 
 int run_main(int argc, const char* const* argv,
              std::span<const std::string_view> known,
-             int (*run)(const Options&)) {
+             int (*run)(const Options&),
+             std::span<const std::string_view> flags) {
   std::string error;
-  const std::optional<Options> opts = Options::parse(argc, argv, &error);
+  const std::optional<Options> opts = Options::parse(argc, argv, &error, flags);
   if (!opts) {
     std::fprintf(stderr, "argument error: %s\n", error.c_str());
     return 1;

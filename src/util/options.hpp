@@ -2,8 +2,10 @@
 //
 // Supports `--name value`, `--name=value` and boolean `--flag` forms; every
 // option declares a default so binaries are runnable with no arguments. A
-// value that does not fit its getter fails loudly with
-// std::invalid_argument naming the option, never with a silent default.
+// binary that takes positional arguments declares its boolean flags, so that
+// `--flag FILE` leaves FILE positional. A value that does not fit its getter
+// fails loudly with std::invalid_argument naming the option, never with a
+// silent default.
 #pragma once
 
 #include <map>
@@ -18,8 +20,11 @@ namespace flexnet {
 class Options {
  public:
   /// Parses argv; returns std::nullopt and fills `error` on malformed input.
-  static std::optional<Options> parse(int argc, const char* const* argv,
-                                      std::string* error = nullptr);
+  /// A name in `flags` never takes the next token as its value (`--name=0`
+  /// still gives one); any other `--name` takes it unless it is an option.
+  static std::optional<Options> parse(
+      int argc, const char* const* argv, std::string* error = nullptr,
+      std::span<const std::string_view> flags = {});
 
   [[nodiscard]] bool has(std::string_view name) const;
   /// The option's value, or `def` when absent. A bare `--name` (no value)
@@ -54,12 +59,14 @@ class Options {
   std::vector<std::string> positional_;
 };
 
-/// A binary's main(): parses argv, rejects any option not in `known`, and
-/// returns `run`'s exit code. A malformed command line, an unknown option
-/// or an exception thrown by `run` is printed to stderr and returns 1.
+/// A binary's main(): parses argv with the boolean `flags` (see parse),
+/// rejects any option not in `known`, and returns `run`'s exit code. A
+/// malformed command line, an unknown option or an exception thrown by `run`
+/// is printed to stderr and returns 1.
 int run_main(int argc, const char* const* argv,
              std::span<const std::string_view> known,
-             int (*run)(const Options&));
+             int (*run)(const Options&),
+             std::span<const std::string_view> flags = {});
 
 /// Reads a scale factor from the FLEXNET_BENCH_SCALE environment variable
 /// (default 1.0); bench binaries multiply their warmup/measure windows by it

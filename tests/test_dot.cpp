@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/logging.hpp"
-
 namespace flexnet {
 namespace {
 
@@ -40,18 +38,6 @@ TEST(Dot, NoHighlightWithoutKnots) {
                     {.id = 2, .held = {1}, .requests = {}}});
   const std::string dot = cwg_to_dot(cwg, find_knots(cwg));
   EXPECT_EQ(dot.find("salmon"), std::string::npos);
-}
-
-// Logging smoke coverage (kept here to avoid a one-test suite).
-TEST(Logging, LevelGatingAndRestore) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::Error);
-  EXPECT_EQ(log_level(), LogLevel::Error);
-  FLEXNET_LOG(Info) << "suppressed " << 42;   // below threshold: no effect
-  FLEXNET_LOG(Error) << "emitted " << 43;     // goes to stderr
-  set_log_level(LogLevel::Off);
-  FLEXNET_LOG(Error) << "also suppressed";
-  set_log_level(before);
 }
 
 }  // namespace

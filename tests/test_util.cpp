@@ -137,6 +137,32 @@ TEST(Options, BoolRejectsOtherValues) {
   }
 }
 
+TEST(Options, DeclaredFlagNeverTakesTheNextToken) {
+  // `trace_dump --stats out.bin` once bound "out.bin" to --stats and found
+  // no file to read. A declared flag leaves the next token positional in
+  // either argument order, and `--flag=0` still gives it a value.
+  constexpr std::string_view kFlags[] = {"stats", "hot"};
+  const char* before[] = {"prog",    "--stats", "out.bin",
+                          "--hot=0", "--tail",  "5"};
+  const char* after[] = {"prog",    "out.bin", "--stats",
+                         "--hot=0", "--tail",  "5"};
+  for (const auto* argv : {before, after}) {
+    const auto opts = Options::parse(6, argv, nullptr, kFlags);
+    ASSERT_TRUE(opts.has_value());
+    ASSERT_EQ(opts->positional().size(), 1u);
+    EXPECT_EQ(opts->positional()[0], "out.bin");
+    EXPECT_TRUE(opts->get_bool("stats", false));
+    EXPECT_FALSE(opts->get_bool("hot", true));
+    EXPECT_EQ(opts->get_int("tail", 0), 5);
+  }
+  // Without the declaration the flag still takes the next token.
+  const auto undeclared = Options::parse(6, before);
+  ASSERT_TRUE(undeclared.has_value());
+  EXPECT_TRUE(undeclared->positional().empty());
+  EXPECT_THROW((void)undeclared->get_bool("stats", false),
+               std::invalid_argument);
+}
+
 TEST(Options, RejectsBareDashes) {
   const char* argv[] = {"prog", "--"};
   std::string error;

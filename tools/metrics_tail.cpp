@@ -9,15 +9,18 @@
 //
 // The table leads with the precursor columns — score, warning, stall age,
 // blocked-component size — because the whole point of the stream is seeing a
-// deadlock form before the detector confirms it. Malformed lines fail with
-// "<path>:<line>: <reason>" and exit 1, same contract as telemetry_dump
-// --metrics.
+// deadlock form before the detector confirms it. The stream is validated as
+// it is read: a line that is not a JSON object, a missing or unknown schema
+// header, a sample without "cycle", a record after the final summary record
+// or a non-integer where an integer belongs fails with
+// "<path>:<line>: <reason>" and exit 1, so CI can gate on stream integrity.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 
 #include "util/json.hpp"
 #include "util/options.hpp"
@@ -31,8 +34,10 @@ double num(const JsonValue& obj, std::string_view name) {
   return member != nullptr ? member->number : 0.0;
 }
 
+// Integers are read exactly from their source text; a fraction fails.
 long long integer(const JsonValue& obj, std::string_view name) {
-  return static_cast<long long>(num(obj, name));
+  const JsonValue* member = obj.find(name);
+  return member != nullptr ? member->as_int() : 0;
 }
 
 bool flag(const JsonValue& obj, std::string_view name) {
@@ -72,16 +77,20 @@ std::string class_summary(const JsonValue& rec) {
   return out;
 }
 
-void print_sample_line(const JsonValue& rec) {
-  std::printf("%10lld %9.4f %5s %9lld %9lld %7lld %7lld %7lld %9lld %9.1f "
-              "%6lld %5lld  %s\n",
-              integer(rec, "cycle"), num(rec, "score"),
-              flag(rec, "warning") ? "WARN" : "", integer(rec, "max_stall_age"),
-              integer(rec, "stall_hwm"), integer(rec, "blocked"),
-              integer(rec, "request_arcs"), integer(rec, "largest_component"),
-              integer(rec, "delivered"), num(rec, "latency_p99"),
-              integer(rec, "active_routers"), integer(rec, "det_knots"),
-              class_summary(rec).c_str());
+// One table row; formatting it reads (and so checks) every integer field.
+std::string sample_line(const JsonValue& rec) {
+  char row[160];
+  std::snprintf(row, sizeof(row),
+                "%10lld %9.4f %5s %9lld %9lld %7lld %7lld %7lld %9lld %9.1f "
+                "%6lld %5lld  ",
+                integer(rec, "cycle"), num(rec, "score"),
+                flag(rec, "warning") ? "WARN" : "",
+                integer(rec, "max_stall_age"), integer(rec, "stall_hwm"),
+                integer(rec, "blocked"), integer(rec, "request_arcs"),
+                integer(rec, "largest_component"), integer(rec, "delivered"),
+                num(rec, "latency_p99"), integer(rec, "active_routers"),
+                integer(rec, "det_knots"));
+  return row + class_summary(rec) + "\n";
 }
 
 void print_final(const JsonValue& rec) {
@@ -121,8 +130,9 @@ void print_final(const JsonValue& rec) {
   }
 }
 
-// Every option this tool reads.
+// Every option this tool reads, and those of them that take no value.
 constexpr std::string_view kOptions[] = {"follow", "summary", "idle-limit"};
+constexpr std::string_view kFlags[] = {"follow", "summary"};
 
 int tail(const flexnet::Options& opts) {
   if (opts.positional().size() != 1) {
@@ -144,10 +154,13 @@ int tail(const flexnet::Options& opts) {
 
   std::string line;
   std::size_t lineno = 0;
+  auto fail = [&](const std::string& reason) {
+    std::fprintf(stderr, "%s:%zu: %s\n", path.c_str(), lineno, reason.c_str());
+    return 1;
+  };
   long long idle_polls = 0;
   bool saw_final = false;
-  JsonValue last_sample;
-  bool have_sample = false;
+  std::string last_sample;  // --summary: the newest sample's row
   for (;;) {
     if (!std::getline(in, line)) {
       if (in.bad()) {
@@ -167,52 +180,46 @@ int tail(const flexnet::Options& opts) {
     }
     idle_polls = 0;
     ++lineno;
-    JsonValue rec;
     try {
-      rec = JsonValue::parse(line);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s:%zu: %s\n", path.c_str(), lineno, e.what());
-      return 1;
-    }
-    if (!rec.is_object()) {
-      std::fprintf(stderr, "%s:%zu: record is not a JSON object\n",
-                   path.c_str(), lineno);
-      return 1;
-    }
-    if (lineno == 1) {
-      const JsonValue* schema = rec.find("schema");
-      if (schema == nullptr || schema->string != "flexnet-metrics-v1") {
-        std::fprintf(stderr,
-                     "%s:1: missing or unknown schema (want "
-                     "flexnet-metrics-v1 header record)\n",
-                     path.c_str());
-        return 1;
+      const JsonValue rec = JsonValue::parse(line);
+      if (!rec.is_object()) return fail("record is not a JSON object");
+      if (saw_final) return fail("record after the final summary record");
+      if (lineno == 1) {
+        const JsonValue* schema = rec.find("schema");
+        if (schema == nullptr || schema->string != "flexnet-metrics-v1") {
+          return fail("missing or unknown schema (want flexnet-metrics-v1 "
+                      "header record)");
+        }
+        if (!summary) print_header_line(rec);
+        continue;
       }
-      if (!summary) print_header_line(rec);
-      continue;
-    }
-    if (flag(rec, "final")) {
-      saw_final = true;
-      print_final(rec);
-      if (!follow) continue;
-      break;
-    }
-    if (summary) {
-      last_sample = rec;
-      have_sample = true;
-    } else {
-      print_sample_line(rec);
+      if (flag(rec, "final")) {
+        saw_final = true;
+        print_final(rec);
+        if (follow) break;
+        continue;
+      }
+      if (rec.find("cycle") == nullptr) {
+        return fail("sample record has no \"cycle\" field");
+      }
+      std::string row = sample_line(rec);
+      if (summary) {
+        last_sample = std::move(row);
+      } else {
+        std::fputs(row.c_str(), stdout);
+      }
+    } catch (const std::exception& e) {
+      return fail(e.what());
     }
   }
   if (lineno == 0) {
-    std::fprintf(stderr, "%s:1: empty metrics stream (no header record)\n",
-                 path.c_str());
-    return 1;
+    lineno = 1;
+    return fail("empty metrics stream (no header record)");
   }
-  if (summary && !saw_final && have_sample) {
+  if (summary && !saw_final && !last_sample.empty()) {
     std::printf("(no final record yet) last sample:\n");
     print_header_line(JsonValue{});
-    print_sample_line(last_sample);
+    std::fputs(last_sample.c_str(), stdout);
   }
   return 0;
 }
@@ -220,5 +227,5 @@ int tail(const flexnet::Options& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return flexnet::run_main(argc, argv, kOptions, tail);
+  return flexnet::run_main(argc, argv, kOptions, tail, kFlags);
 }

@@ -1,20 +1,19 @@
 // telemetry_dump: inspect a telemetry run manifest written by
-// --telemetry-json (write_manifest_json), or validate/summarize a
-// flexnet-metrics-v1 NDJSON stream written by --metrics.
+// --telemetry-json (write_manifest_json). A --metrics NDJSON stream is read
+// by metrics_tail.
 //
 //   ./tools/telemetry_dump run.json               # human-readable summary
 //   ./tools/telemetry_dump run.json --series      # interval series as CSV
 //   ./tools/telemetry_dump run.json --hot         # hot-channel table only
 //   ./tools/telemetry_dump run.json.p0 run.json.p1   # several sweep points
-//   ./tools/telemetry_dump --metrics run.ndjson   # validate + summarize; a
-//       truncated or garbage line fails with "<path>:<line>: ..." and exit 1
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
+#include "sim/message_class.hpp"
 #include "util/json.hpp"
 #include "util/options.hpp"
 
@@ -90,27 +89,38 @@ void print_summary(const JsonValue& root) {
               num(profile, "total_ns") / 1e6);
 }
 
+// One row per sample, each number in the manifest's own digits (so
+// integers stay exact at any size); class_delivered, an array indexed by
+// message class, becomes one column per class.
 void print_series_csv(const JsonValue& root) {
   const JsonValue& samples = root.at("series").at("samples");
-  bool header = false;
-  for (const JsonValue& sample : samples.array) {
-    if (!header) {
-      header = true;
-      bool first = true;
-      for (const auto& [name, value] : sample.object) {
-        (void)value;
-        std::printf("%s%s", first ? "" : ",", name.c_str());
-        first = false;
+  for (std::size_t i = 0; i < samples.array.size(); ++i) {
+    std::string header;
+    std::string row;
+    const auto cell = [&](const std::string& name, const JsonValue& value) {
+      if (!value.is_number()) {
+        throw std::runtime_error("series field " + name + " is not a number");
       }
-      std::printf("\n");
+      const char* sep = header.empty() ? "" : ",";
+      header += sep + name;
+      row += sep + value.number_text;
+    };
+    for (const auto& [name, value] : samples.array[i].object) {
+      if (!value.is_array()) {
+        cell(name, value);
+        continue;
+      }
+      if (value.array.size() != flexnet::kNumMessageClasses) {
+        throw std::runtime_error("series field " + name +
+                                 " does not hold one entry per class");
+      }
+      for (const flexnet::MessageClass cls : flexnet::all_message_classes()) {
+        cell(name + "_" + std::string(flexnet::to_string(cls)),
+             value.array[flexnet::class_index(cls)]);
+      }
     }
-    bool first = true;
-    for (const auto& [name, value] : sample.object) {
-      (void)name;
-      std::printf("%s%g", first ? "" : ",", value.number);
-      first = false;
-    }
-    std::printf("\n");
+    if (i == 0) std::printf("%s\n", header.c_str());
+    std::printf("%s\n", row.c_str());
   }
 }
 
@@ -131,116 +141,15 @@ void print_hot_channels(const JsonValue& root) {
   }
 }
 
-// Validates a flexnet-metrics-v1 NDJSON stream line by line and prints a
-// summary. Any malformed line — truncated JSON, non-object, wrong schema —
-// fails loudly with "<path>:<line>: <reason>" and a nonzero exit, so CI can
-// gate on stream integrity.
-int dump_metrics(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  auto fail = [&](std::size_t line, const std::string& reason) {
-    std::fprintf(stderr, "%s:%zu: %s\n", path.c_str(), line, reason.c_str());
-    return 1;
-  };
-
-  std::string line;
-  std::size_t lineno = 0;
-  std::int64_t samples = 0;
-  std::int64_t warnings = 0;
-  double peak_score = 0.0;
-  double first_cycle = -1.0, last_cycle = -1.0;
-  bool saw_final = false;
-  JsonValue header, final_record;
-  while (std::getline(in, line)) {
-    ++lineno;
-    JsonValue rec;
-    try {
-      rec = JsonValue::parse(line);
-    } catch (const std::exception& e) {
-      return fail(lineno, e.what());
-    }
-    if (!rec.is_object()) return fail(lineno, "record is not a JSON object");
-    if (saw_final) return fail(lineno, "record after the final summary record");
-    if (lineno == 1) {
-      if (str(rec, "schema") != "flexnet-metrics-v1") {
-        return fail(lineno, "missing or unknown schema (want "
-                            "flexnet-metrics-v1 header record)");
-      }
-      header = rec;
-      continue;
-    }
-    const JsonValue* final_flag = rec.find("final");
-    if (final_flag != nullptr && final_flag->boolean) {
-      final_record = rec;
-      saw_final = true;
-      continue;
-    }
-    if (rec.find("cycle") == nullptr) {
-      return fail(lineno, "sample record has no \"cycle\" field");
-    }
-    ++samples;
-    if (first_cycle < 0) first_cycle = num(rec, "cycle");
-    last_cycle = num(rec, "cycle");
-    peak_score = std::max(peak_score, num(rec, "score"));
-    const JsonValue* warning = rec.find("warning");
-    if (warning != nullptr && warning->boolean) ++warnings;
-  }
-  if (in.bad()) return fail(lineno, "read error");
-  if (lineno == 0) return fail(1, "empty metrics stream (no header record)");
-
-  std::printf("metrics   %s, interval %lld, warn threshold %g, stall ref %lld\n",
-              str(header, "schema").c_str(),
-              static_cast<long long>(integer(header, "interval")),
-              num(header, "warn_threshold"),
-              static_cast<long long>(integer(header, "stall_ref")));
-  std::printf("shape     %lld node(s), %lld VC(s), %lld channel(s)\n",
-              static_cast<long long>(integer(header, "nodes")),
-              static_cast<long long>(integer(header, "vcs")),
-              static_cast<long long>(integer(header, "channels")));
-  std::printf("stream    %lld sample(s), cycles %lld..%lld, %lld warning "
-              "record(s), peak score %.4f\n",
-              static_cast<long long>(samples),
-              static_cast<long long>(first_cycle),
-              static_cast<long long>(last_cycle),
-              static_cast<long long>(warnings), peak_score);
-  if (saw_final) {
-    const long long warn_at = integer(final_record, "first_warning_cycle");
-    const long long confirm_at =
-        integer(final_record, "first_confirmation_cycle");
-    const long long lead = integer(final_record, "lead_cycles");
-    std::printf("final     %lld warning(s), first warning @ %lld, first "
-                "confirmation @ %lld, lead %lld cycle(s)\n",
-                static_cast<long long>(integer(final_record, "warnings")),
-                warn_at, confirm_at, lead);
-    const JsonValue* latency = final_record.find("latency");
-    if (latency != nullptr) {
-      std::printf("latency   count %lld, mean %.2f, p50 %.1f, p99 %.1f, "
-                  "p999 %.1f, max %lld\n",
-                  static_cast<long long>(integer(*latency, "count")),
-                  num(*latency, "mean"), num(*latency, "p50"),
-                  num(*latency, "p99"), num(*latency, "p999"),
-                  static_cast<long long>(integer(*latency, "max")));
-    }
-  } else {
-    std::printf("final     (none — run still in progress or cut short)\n");
-  }
-  return 0;
-}
-
-// Every option this tool reads.
-constexpr std::string_view kOptions[] = {"metrics", "series", "hot"};
+// Every option this tool reads; each takes no value.
+constexpr std::string_view kOptions[] = {"series", "hot"};
 
 int dump(const flexnet::Options& opts) {
-  if (opts.has("metrics")) return dump_metrics(opts.get("metrics"));
   const bool series = opts.get_bool("series", false);
   const bool hot = opts.get_bool("hot", false);
   if (opts.positional().empty()) {
     std::fprintf(stderr,
-                 "usage: telemetry_dump MANIFEST... [--series] [--hot]\n"
-                 "       telemetry_dump --metrics STREAM.ndjson\n");
+                 "usage: telemetry_dump MANIFEST... [--series] [--hot]\n");
     return 1;
   }
 
@@ -278,5 +187,5 @@ int dump(const flexnet::Options& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return flexnet::run_main(argc, argv, kOptions, dump);
+  return flexnet::run_main(argc, argv, kOptions, dump, kOptions);
 }

@@ -19,12 +19,13 @@ namespace {
 
 using namespace flexnet;
 
-// Every option this tool reads.
+// Every option this tool reads, and those of them that take no value.
 constexpr std::string_view kOptions[] = {"stats", "message", "kind",
                                          "from",  "to",      "tail"};
+constexpr std::string_view kFlags[] = {"stats"};
 
 int dump(const Options& opts) {
-  if (opts.positional().empty()) {
+  if (opts.positional().size() != 1) {
     std::fprintf(stderr,
                  "usage: trace_dump FILE [--stats] [--message M] [--kind K] "
                  "[--from C] [--to C] [--tail N]\n");
@@ -115,5 +116,5 @@ int dump(const Options& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return flexnet::run_main(argc, argv, kOptions, dump);
+  return flexnet::run_main(argc, argv, kOptions, dump, kFlags);
 }
