@@ -1,6 +1,5 @@
 #include "sim/buffer.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 #include "util/binio.hpp"
@@ -10,31 +9,6 @@ namespace flexnet {
 FlitFifo::FlitFifo(int capacity) {
   if (capacity < 1) throw std::invalid_argument("FlitFifo capacity must be >= 1");
   slots_.resize(static_cast<std::size_t>(capacity));
-}
-
-void FlitFifo::push(const Flit& flit) {
-  assert(!full());
-  const int tail = (head_ + count_) % capacity();
-  slots_[static_cast<std::size_t>(tail)] = flit;
-  ++count_;
-}
-
-Flit FlitFifo::pop() {
-  assert(!empty());
-  const Flit flit = slots_[static_cast<std::size_t>(head_)];
-  head_ = (head_ + 1) % capacity();
-  --count_;
-  return flit;
-}
-
-const Flit& FlitFifo::front() const {
-  assert(!empty());
-  return slots_[static_cast<std::size_t>(head_)];
-}
-
-const Flit& FlitFifo::at(int i) const {
-  assert(i >= 0 && i < count_);
-  return slots_[static_cast<std::size_t>((head_ + i) % capacity())];
 }
 
 void FlitFifo::save_state(BinWriter& out) const {

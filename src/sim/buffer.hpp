@@ -1,6 +1,7 @@
 // Fixed-capacity flit FIFO backing each virtual channel's edge buffer.
 #pragma once
 
+#include <cassert>
 #include <vector>
 
 #include "sim/flit.hpp"
@@ -19,14 +20,33 @@ class FlitFifo {
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
   [[nodiscard]] bool full() const noexcept { return count_ == capacity(); }
 
+  // The hot operations are inline and wrap with a compare, not `%`: they
+  // run once per flit hop in the transmit walk.
+
   /// Precondition: !full().
-  void push(const Flit& flit);
+  void push(const Flit& flit) {
+    assert(!full());
+    slots_[static_cast<std::size_t>(wrap(head_ + count_))] = flit;
+    ++count_;
+  }
   /// Precondition: !empty().
-  Flit pop();
+  Flit pop() {
+    assert(!empty());
+    const Flit flit = slots_[static_cast<std::size_t>(head_)];
+    head_ = wrap(head_ + 1);
+    --count_;
+    return flit;
+  }
   /// Precondition: !empty().
-  [[nodiscard]] const Flit& front() const;
+  [[nodiscard]] const Flit& front() const {
+    assert(!empty());
+    return slots_[static_cast<std::size_t>(head_)];
+  }
   /// Flit at offset `i` from the front; precondition i < size().
-  [[nodiscard]] const Flit& at(int i) const;
+  [[nodiscard]] const Flit& at(int i) const {
+    assert(i >= 0 && i < count_);
+    return slots_[static_cast<std::size_t>(wrap(head_ + i))];
+  }
 
   void clear() noexcept { head_ = count_ = 0; }
 
@@ -37,6 +57,11 @@ class FlitFifo {
   void restore_state(BinReader& in);
 
  private:
+  /// A slot index in [0, 2 * capacity) folded into [0, capacity).
+  [[nodiscard]] int wrap(int index) const noexcept {
+    return index >= capacity() ? index - capacity() : index;
+  }
+
   std::vector<Flit> slots_;
   int head_ = 0;
   int count_ = 0;

@@ -9,7 +9,8 @@ namespace flexnet {
 /// One virtual channel. The buffer models the edge buffer at the channel's
 /// downstream end; a VC is exclusively owned by one message from header
 /// allocation until the tail flit leaves the buffer (free <=> buffer empty).
-struct VcState {
+/// Aligned to a cache line, so the VC table never splits a VC across two.
+struct alignas(64) VcState {
   VcId id = kInvalidVc;
   ChannelId channel = kInvalidChannel;
   /// Cycle in which transmit last popped a flit from this VC (-1: never),
@@ -43,7 +44,8 @@ struct VcState {
   }
 };
 
-static_assert(sizeof(VcState) <= 64, "a VC fits one cache line");
+static_assert(sizeof(VcState) == 64 && alignof(VcState) == 64,
+              "a VC occupies exactly one cache line");
 
 /// One physical channel with its contiguous block of VCs and the round-robin
 /// pointer used to arbitrate the single flit it can transmit per cycle.

@@ -1,6 +1,7 @@
-// A flit: the unit of flow control. Flits carry only their message id and
-// sequence number; head/tail status is derived from the owning message's
-// length, keeping the struct at 16 bytes for cache-friendly buffers.
+// A flit: the unit of flow control. Flits carry only their message id,
+// sequence number and arrival cycle; head/tail status is derived from the
+// owning message's length, keeping the struct at 24 bytes for
+// cache-friendly buffers.
 #pragma once
 
 #include "sim/types.hpp"
@@ -19,5 +20,7 @@ struct Flit {
   }
   friend constexpr bool operator==(const Flit&, const Flit&) noexcept = default;
 };
+
+static_assert(sizeof(Flit) == 24, "a flit is an id, a sequence and a cycle");
 
 }  // namespace flexnet

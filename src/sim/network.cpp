@@ -142,7 +142,36 @@ Network::Network(const SimConfig& config, NetworkDeps deps)
     }
   }
 
+  // Each router's header VCs, for the in-place header wakes (§3h): counted
+  // into router_vc_begin_[dst], summed to start offsets, filled by advancing
+  // each router's offset to its end, then shifted back one slot (no
+  // temporary array: a 32k-node network builds it in place).
+  router_vc_begin_.assign(static_cast<std::size_t>(nodes) + 1, 0);
+  for (const PhysChannel& pc : phys_) {
+    if (pc.kind == ChannelKind::Ejection) continue;
+    router_vc_begin_[static_cast<std::size_t>(pc.dst)] += pc.num_vcs;
+  }
+  std::int32_t offset = 0;
+  for (std::int32_t& begin : router_vc_begin_) {
+    const std::int32_t count = begin;
+    begin = offset;
+    offset += count;
+  }
+  router_vcs_.resize(static_cast<std::size_t>(offset));
+  for (const PhysChannel& pc : phys_) {
+    if (pc.kind == ChannelKind::Ejection) continue;
+    for (int i = 0; i < pc.num_vcs; ++i) {
+      router_vcs_[static_cast<std::size_t>(
+          router_vc_begin_[static_cast<std::size_t>(pc.dst)]++)] =
+          pc.first_vc + i;
+    }
+  }
+  std::copy_backward(router_vc_begin_.begin(), router_vc_begin_.end() - 1,
+                     router_vc_begin_.end());
+  router_vc_begin_.front() = 0;
+
   source_queues_.resize(static_cast<std::size_t>(nodes));
+  stall_since_.assign(static_cast<std::size_t>(nodes), -1);
 
   set_shards(1);  // one shard, stepped inline on the calling thread
 
@@ -258,11 +287,14 @@ double Network::capacity_flits_per_node(double avg_distance) const noexcept {
 
 void Network::step() {
   if (step_dense_) {
-    // The dense oracle: schedule every reception interface and channel. The
-    // live-scan sweeps then visit each exactly once, in id order, as dense
-    // loops would (DESIGN.md §3h). The source set is exact and needs no fill.
+    // The dense oracle: schedule every source, reception interface and
+    // channel. The live-scan sweeps then visit each exactly once, in id
+    // order, as dense loops would (DESIGN.md §3h).
     const NodeId nodes = topo_->num_nodes();
-    for (NodeId node = 0; node < nodes; ++node) sched_insert_eject(node);
+    for (NodeId node = 0; node < nodes; ++node) {
+      sched_insert_src(node);
+      sched_insert_eject(node);
+    }
     for (const PhysChannel& pc : phys_) sched_wake_channel(pc.id);
   }
   {
@@ -364,6 +396,9 @@ void Network::remove_message(MessageId id) {
     // drain through it.
     sched_wake_channel(vc.channel);
     if (watched_[static_cast<std::size_t>(held)] != 0) wake_requesters(held);
+    // A freed injection VC wakes its sleeping source.
+    const PhysChannel& pc = phys_[static_cast<std::size_t>(vc.channel)];
+    if (pc.kind == ChannelKind::Injection) sched_insert_src(pc.src);
     vc.buffer.clear();
     vc.release();
   }
@@ -468,14 +503,10 @@ void Network::check_invariants() const {
     if (vc.buffer.empty() || !vc.buffer.front().is_head()) {
       invariant_failure("pending VC front is not a header flit");
     }
-    // A dormant header at an unwoken router is skipped by the route walk,
-    // which is sound only while a retry would fail as a no-op (§3h): the
-    // header is blocked on exactly the VCs a fresh routing answer gives, and
-    // none of them is free.
-    if (dormant_[static_cast<std::size_t>(v)] == 0 ||
-        router_woken_[static_cast<std::size_t>(router_at(v))] != 0) {
-      continue;
-    }
+    // A dormant header is skipped by the route walk, which is sound only
+    // while a retry would fail as a no-op (§3h): the header is blocked on
+    // exactly the VCs a fresh routing answer gives, and none of them is free.
+    if (dormant_[static_cast<std::size_t>(v)] == 0) continue;
     const Message& msg = message(vc.owner);
     if (!msg.blocked) invariant_failure("dormant header is not blocked");
     route_candidates(msg, vc, channels, wants);
@@ -494,13 +525,29 @@ void Network::check_invariants() const {
   }
 
   // Active-set coverage: the event-driven core must never deschedule a
-  // component that still has work. The source sets are exact; the other two
-  // are supersets (stale entries self-erase on their next visit).
+  // component that still has work. All three sets are supersets (stale
+  // entries self-erase on their next visit).
   const NodeId nodes = topo_->num_nodes();
   for (NodeId node = 0; node < nodes; ++node) {
-    if (!source_queues_[static_cast<std::size_t>(node)].empty() !=
-        src_scheduled(node)) {
-      invariant_failure("source active set out of sync with queue state");
+    const bool queued = !source_queues_[static_cast<std::size_t>(node)].empty();
+    const Cycle since = stall_since_[static_cast<std::size_t>(node)];
+    const PhysChannel& inj =
+        phys_[static_cast<std::size_t>(injection_channel(node))];
+    bool vc_free = false;
+    for (int i = 0; i < inj.num_vcs && !vc_free; ++i) {
+      vc_free = vcs_[static_cast<std::size_t>(inj.first_vc + i)].is_free();
+    }
+    if (queued && vc_free && !src_scheduled(node)) {
+      invariant_failure("queued message and free injection VC on a sleeping "
+                        "source");
+    }
+    // The heatmap's stall count is exact only if every unvisited queued
+    // node's stalls sit in an open span.
+    if (queued && since < 0 && !src_scheduled(node)) {
+      invariant_failure("sleeping source has no open stall span");
+    }
+    if (since >= 0 && (!queued || since > now_)) {
+      invariant_failure("stall span open on an empty queue or in the future");
     }
     const PhysChannel& ej =
         phys_[static_cast<std::size_t>(ejection_channel(node))];
@@ -567,8 +614,23 @@ void Network::rebuild_active_sets() {
 void Network::reset_dormancy() {
   dormant_.assign(vcs_.size(), 0);
   watched_.assign(vcs_.size(), 0);
-  router_woken_.assign(static_cast<std::size_t>(topo_->num_nodes()), 0);
-  woken_routers_.clear();
+}
+
+void Network::settle_stall_spans(Cycle restart) noexcept {
+  for (std::size_t node = 0; node < stall_since_.size(); ++node) {
+    Cycle& since = stall_since_[node];
+    if (since < 0) continue;
+    if (hooks_.heatmap != nullptr) {
+      hooks_.heatmap->on_injection_stall(static_cast<NodeId>(node),
+                                         now_ - since);
+    }
+    since = restart;
+  }
+}
+
+void Network::install_hooks(const NetworkHooks& hooks) noexcept {
+  if (hooks.heatmap != hooks_.heatmap) settle_stall_spans(now_);
+  hooks_ = hooks;
 }
 
 void Network::save_counters(BinWriter& out, const Counters& c) {
@@ -664,6 +726,9 @@ void Network::save_state(BinWriter& out) const {
 }
 
 void Network::restore_state(BinReader& in, std::uint32_t version) {
+  // Stall spans count against the pre-restore clock: credit and close them
+  // (rebuild_active_sets below schedules every queued node again).
+  settle_stall_spans(-1);
   now_ = in.i64();
   blocked_count_ = in.i32();
   faulted_ = in.i32();

@@ -7,7 +7,8 @@
 //                 headers retry VC allocation against the routing relation's
 //                 candidate set. Failures mark the message blocked and record
 //                 its request set (the CWG's dashed arcs); a blocked header
-//                 sleeps until a VC it requests is released.
+//                 sleeps until a VC it requests is released, and a source
+//                 whose injection VCs are all owned sleeps until one frees.
 //   3. transmit — every physical channel moves at most one flit from the
 //                 feeding VC into the owned downstream VC (or from the source
 //                 queue into an injection VC). A tail flit leaving a buffer
@@ -172,19 +173,33 @@ class Network {
   /// Installs the observer surface wholesale (replacing whatever was
   /// installed before; a default-constructed NetworkHooks detaches
   /// everything). All pointers are non-owning and must outlive their use.
-  void install_hooks(const NetworkHooks& hooks) noexcept { hooks_ = hooks; }
+  /// Replacing the heatmap credits the outgoing one with every sleeping
+  /// source's open stall span and starts the spans afresh, so each heatmap
+  /// counts exactly the route phases it was attached for.
+  void install_hooks(const NetworkHooks& hooks) noexcept;
   [[nodiscard]] const NetworkHooks& hooks() const noexcept { return hooks_; }
+
+  /// Route phases `node` has stalled through while asleep (source queue
+  /// non-empty, every injection VC owned) that no heatmap has been credited
+  /// with yet; 0 for a node that is not asleep. A sleeping source is not
+  /// visited, so its stalls are credited in one span at its next visit, and
+  /// a heatmap reader adds the open span (SpatialHeatmap does).
+  [[nodiscard]] Cycle injection_stall_span(NodeId node) const noexcept {
+    const Cycle since = stall_since_[static_cast<std::size_t>(node)];
+    return since < 0 ? 0 : now_ - since;
+  }
 
   /// Selects the dense per-cycle sweep (every node and channel visited and
   /// every pending header retried every cycle) instead of the default
-  /// event-driven active-set core, which skips dormant headers. The dense
-  /// sweep schedules every reception interface and channel at the top of
-  /// step(), retries dormant headers too, and otherwise runs the event core
-  /// unchanged, so it is the lockstep oracle for the wakeup and header-wake
-  /// bookkeeping — both paths produce byte-identical state, traces, and
-  /// counters (tests/test_step_equivalence.cpp) — kept behind --step-dense
-  /// the same way --detector-full-rebuild keeps the detection oracle. Safe
-  /// to flip between steps.
+  /// event-driven active-set core, which skips sleeping sources and dormant
+  /// headers. The dense sweep schedules every source, reception interface
+  /// and channel at the top of step(), retries dormant headers too, and
+  /// otherwise runs the event core unchanged, so it is the lockstep oracle
+  /// for the wakeup, source-wake and header-wake bookkeeping — both paths
+  /// produce byte-identical state, traces, counters and heatmaps
+  /// (tests/test_step_equivalence.cpp) — kept behind --step-dense the same
+  /// way --detector-full-rebuild keeps the detection oracle. Safe to flip
+  /// between steps.
   void set_step_dense(bool dense) noexcept { step_dense_ = dense; }
   [[nodiscard]] bool step_dense() const noexcept { return step_dense_; }
 
@@ -266,13 +281,16 @@ class Network {
   /// Recomputes the per-shard active sets from current state (set_shards and
   /// snapshot restore; the sets are never serialized).
   void rebuild_active_sets();
-  /// Clears every dormant, watched and woken byte (set_shards and snapshot
+  /// Clears every dormant and watched byte (set_shards and snapshot
   /// restore), so every pending header is retried once.
   void reset_dormancy();
   /// Releasing `vc`, which a dormant header watches: clears the watch and
-  /// wakes the router at its channel's source, the only router whose
-  /// headers can request it.
+  /// wakes every header at the router at its channel's source, the only
+  /// router whose headers can request it.
   void wake_requesters(VcId vc);
+  /// Credits the attached heatmap with every open stall span and restarts
+  /// each span at `restart` (-1 closes it).
+  void settle_stall_spans(Cycle restart) noexcept;
   /// The router whose headers sit in `vc`'s buffer.
   [[nodiscard]] NodeId router_at(VcId vc) const {
     return phys(vcs_[static_cast<std::size_t>(vc)].channel).dst;
@@ -299,12 +317,15 @@ class Network {
   void deliver_shard(ShardCtx& ctx);
   void commit_deliver();
   void route_shard(ShardCtx& ctx);
+  /// Grants `node`'s queued messages the free injection VCs and unschedules
+  /// the node: afterwards its queue is empty or every injection VC is owned
+  /// (it sleeps, with an open stall span).
   void route_grants(NodeId node, ShardCtx& ctx);
   /// Attempts allocation for the unrouted header in `head_vc`; a success
-  /// sets its route_out. `scan_index` is its position in this cycle's
-  /// rotated scan. A failure leaves the header dormant, watching its
-  /// request set.
-  void try_route_header(VcId head_vc, std::uint32_t scan_index,
+  /// sets its route_out and returns true. `scan_index` is its position in
+  /// this cycle's rotated scan. A failure leaves the header dormant,
+  /// watching its request set.
+  bool try_route_header(VcId head_vc, std::uint32_t scan_index,
                         ShardCtx& ctx);
   /// The routing relation's answer for the header in `head`: its candidate
   /// channels in candidate_channels() order, and each channel's allowed VCs
@@ -376,15 +397,23 @@ class Network {
   std::vector<VcId> pending_;             // VCs holding unrouted headers
   // Header dormancy (DESIGN.md §3h), process-local: never serialized. A
   // pending header whose last retry failed is dormant and is skipped until a
-  // VC it requests is released (its router is woken) or its held chain
-  // shrinks. Written by the shard owning the header's router (dormant_: its
-  // headers; watched_: VCs on channels out of it); transmit clears dormant_
-  // for a head entering a VC, and buffers its other wakes when N shards run.
+  // VC it requests is released or its held chain shrinks, either of which
+  // clears its byte. Written by the shard owning the header's router
+  // (dormant_: its headers; watched_: VCs on channels out of it); transmit
+  // clears dormant_ for a head entering a VC, and buffers its other wakes
+  // when N shards run.
   std::vector<std::uint8_t> dormant_;  // VC id -> its header sleeps
   std::vector<std::uint8_t> watched_;  // VC id -> a dormant header wants it
-  // Node id -> a watched VC on a channel out of it was released.
-  std::vector<std::uint8_t> router_woken_;
-  std::vector<NodeId> woken_routers_;  // the nodes router_woken_ marks
+  // The VCs a header at each router can sit in (those of the network
+  // channels into it and of its injection channel), as one list per router:
+  // router r's are router_vcs_[router_vc_begin_[r], router_vc_begin_[r+1]).
+  // A release wakes them all. Built once at construction.
+  std::vector<std::int32_t> router_vc_begin_;
+  std::vector<VcId> router_vcs_;
+  // Node id -> the first route phase of its open injection-stall span
+  // (-1: none). Set when a visit leaves the queue non-empty; the next visit
+  // or a heatmap reader credits [since, now). Written by the node's shard.
+  std::vector<Cycle> stall_since_;
 
   Cycle now_ = 0;
   std::uint64_t arc_epoch_ = 0;
@@ -397,9 +426,12 @@ class Network {
   // Shard state (set_shards; the default is one shard). The per-shard active
   // sets are never serialized and are rebuilt on restore. Invariants,
   // maintained in every step mode, over the union of the shards' sets:
-  //   src_active   == nodes with a non-empty source queue (exact);
+  //   src_active   ⊇ nodes with a queued message and a free injection VC
+  //                  (a visited node is always erased; enqueue_message and
+  //                  the release of an injection VC insert it);
   //   eject_active ⊇ nodes with any buffered flit in an ejection VC;
   //   chan_active  ⊇ channels with transmit_work_possible().
+  // A node with a queued message is scheduled or has an open stall span.
   ShardPlan shard_plan_;
   std::vector<std::int32_t> shard_chan_;  // channel id -> owning shard
   std::vector<ShardCtx> shard_ctx_;

@@ -37,9 +37,11 @@
 // VC of its routing answer is free, so a failure draws nothing, and one that
 // finds its request set unchanged changes nothing. A header whose retry
 // failed is dormant, and the route walk passes it over until a VC it
-// requests is released (which wakes its router) or its held chain shrinks.
-// Every grant, and the order of pending_, is the one a retry of every header
-// would give.
+// requests is released (which wakes every header at its router) or its held
+// chain shrinks. Every grant, and the order of pending_, is the one a retry
+// of every header would give. Sources sleep too: a visit leaves a node's
+// queue empty or every injection VC owned, so the node is unscheduled until
+// a message is queued or an injection VC is freed.
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
@@ -254,9 +256,10 @@ void Network::commit_deliver() {
 void Network::route_shard(ShardCtx& ctx) {
   ctx.grants.clear();
   ctx.injected = 0;
+  ctx.routed.clear();
   ctx.trace_buf.clear();
 
-  // Injection grants for this shard's nodes (src_active is exact).
+  // Injection grants for this shard's scheduled nodes.
   for (std::int32_t node = ctx.src_active.first(); node != -1;
        node = ctx.src_active.next_after(node)) {
     route_grants(node, ctx);
@@ -265,23 +268,42 @@ void Network::route_shard(ShardCtx& ctx) {
   // Walk every unrouted header whose current router this shard owns, in the
   // globally rotated order so the scan positions — the order the 1-shard run
   // retries headers in, and their trace keys — are shard-independent. A
-  // dormant header at a router no release woke would fail again without a
-  // change, so it is passed over; the dense oracle retries it.
+  // dormant header would fail again without a change, so it is passed over;
+  // the dense oracle retries it. commit_route drops the granted headers by
+  // their recorded positions.
   const std::size_t count = pending_.size();
   std::size_t pos = count == 0 ? 0 : static_cast<std::size_t>(now_) % count;
   const bool owns_all = shard_ctx_.size() == 1;
+  const bool retry_dormant = step_dense_;
   for (std::size_t i = 0; i < count; ++i) {
     const VcId head_vc = pending_[pos];
     if (++pos == count) pos = 0;
     if (!owns_all && shard_of_node(router_at(head_vc)) != ctx.shard) continue;
-    const bool asleep =
-        !step_dense_ && dormant_[static_cast<std::size_t>(head_vc)] != 0 &&
-        router_woken_[static_cast<std::size_t>(router_at(head_vc))] == 0;
-    if (!asleep) try_route_header(head_vc, static_cast<std::uint32_t>(i), ctx);
+    if (!retry_dormant && dormant_[static_cast<std::size_t>(head_vc)] != 0) {
+      continue;
+    }
+    const auto scan_index = static_cast<std::uint32_t>(i);
+    if (try_route_header(head_vc, scan_index, ctx)) {
+      ctx.routed.push_back(scan_index);
+    }
   }
 }
 
 void Network::route_grants(NodeId node, ShardCtx& ctx) {
+  // Every visit unschedules the node: afterwards its queue is empty or every
+  // injection VC is owned, and enqueue_message or the release of an
+  // injection VC schedules it again.
+  ctx.src_active.erase(node);
+  Cycle& since = stall_since_[static_cast<std::size_t>(node)];
+  if (since >= 0) {
+    // The route phases [since, now_) each left a message waiting: credit
+    // them at once. Per-node counter slot: safe to bump from the owning
+    // shard's worker.
+    if (hooks_.heatmap != nullptr) {
+      hooks_.heatmap->on_injection_stall(node, now_ - since);
+    }
+    since = -1;
+  }
   auto& queue = source_queues_[static_cast<std::size_t>(node)];
   if (queue.empty()) return;
   const PhysChannel& pc =
@@ -308,13 +330,9 @@ void Network::route_grants(NodeId node, ShardCtx& ctx) {
                      static_cast<std::int32_t>(class_index(msg.cls)));
     }
   }
-  if (queue.empty()) {
-    ctx.src_active.erase(node);
-  } else if (hooks_.heatmap != nullptr) {
-    // A still-waiting head after the grant pass is an injection stall.
-    // Per-node counter slot: safe to bump from the owning shard's worker.
-    hooks_.heatmap->on_injection_stall(node);
-  }
+  // A still-waiting head after the grant pass is an injection stall, this
+  // phase and every phase until the node's next visit.
+  if (!queue.empty()) since = now_;
 }
 
 void Network::route_candidates(const Message& msg, const VcState& head,
@@ -345,7 +363,7 @@ void Network::route_candidates(const Message& msg, const VcState& head,
   assert(!vcs.empty());
 }
 
-void Network::try_route_header(VcId head_vc, std::uint32_t scan_index,
+bool Network::try_route_header(VcId head_vc, std::uint32_t scan_index,
                                ShardCtx& ctx) {
   VcState& v = vcs_[static_cast<std::size_t>(head_vc)];
   assert(v.owner != kInvalidMessage && v.route_out == kInvalidVc);
@@ -382,7 +400,7 @@ void Network::try_route_header(VcId head_vc, std::uint32_t scan_index,
         VcState& w = vcs_[static_cast<std::size_t>(*it)];
         if (w.is_free()) {
           acquire_vc(msg, v, w, key, ctx);
-          return;
+          return true;
         }
       }
     }
@@ -399,7 +417,7 @@ void Network::try_route_header(VcId head_vc, std::uint32_t scan_index,
   // first, a held-chain shrink its relation ignores, a dense-oracle retry)
   // changes nothing.
   const bool newly_blocked = !msg.blocked;
-  if (!newly_blocked && msg.request_set == wants) return;
+  if (!newly_blocked && msg.request_set == wants) return false;
   msg.request_set.swap(wants);  // `wants` now holds the old request set
   // Dashed-arc delta. Request sets are tiny (one entry per candidate VC),
   // so the quadratic diff is cheaper than sorting.
@@ -413,7 +431,7 @@ void Network::try_route_header(VcId head_vc, std::uint32_t scan_index,
                   [&](VcId id) { return absent(old_requests, id); }) ||
       std::any_of(old_requests.begin(), old_requests.end(),
                   [&](VcId id) { return absent(msg.request_set, id); });
-  if (!changed) return;  // reordered only: the same dashed arcs
+  if (!changed) return false;  // reordered only: the same dashed arcs
   ++ctx.epoch;
   if (newly_blocked) {
     msg.blocked = true;
@@ -438,14 +456,17 @@ void Network::try_route_header(VcId head_vc, std::uint32_t scan_index,
       }
     }
   }
+  return false;
 }
 
 void Network::wake_requesters(VcId vc) {
   watched_[static_cast<std::size_t>(vc)] = 0;
-  const NodeId router = phys(vcs_[static_cast<std::size_t>(vc)].channel).src;
-  if (router_woken_[static_cast<std::size_t>(router)] == 0) {
-    router_woken_[static_cast<std::size_t>(router)] = 1;
-    woken_routers_.push_back(router);
+  const auto router = static_cast<std::size_t>(
+      phys(vcs_[static_cast<std::size_t>(vc)].channel).src);
+  const auto first = static_cast<std::size_t>(router_vc_begin_[router]);
+  const auto last = static_cast<std::size_t>(router_vc_begin_[router + 1]);
+  for (std::size_t i = first; i < last; ++i) {
+    dormant_[static_cast<std::size_t>(router_vcs_[i])] = 0;
   }
 }
 
@@ -501,26 +522,29 @@ void Network::commit_route() {
 
   // pending_ keeps the walk's order: rotate it by the walk's start (no
   // route worker touches pending_, so its length is the walk's) and drop
-  // the headers granted a VC.
+  // the headers granted a VC, at the scan positions the shards recorded.
   if (!pending_.empty()) {
     const std::size_t start = static_cast<std::size_t>(now_) % pending_.size();
     std::rotate(pending_.begin(),
                 pending_.begin() + static_cast<std::ptrdiff_t>(start),
                 pending_.end());
-    std::erase_if(pending_, [this](VcId v) {
-      return vcs_[static_cast<std::size_t>(v)].route_out != kInvalidVc;
-    });
+    std::size_t kept = 0;
+    std::size_t next = 0;  // first position not yet kept or dropped
+    const auto keep_until = [&](std::size_t end) {
+      for (; next < end; ++next) pending_[kept++] = pending_[next];
+    };
+    merge_shards(
+        &ShardCtx::routed, [](std::uint32_t at) { return at; },
+        [&](std::uint32_t at) {
+          keep_until(at);
+          next = static_cast<std::size_t>(at) + 1;
+        });
+    keep_until(pending_.size());
+    pending_.resize(kept);
   }
   blocked_count_ = static_cast<int>(pending_.size());
 
   for (const ShardCtx& ctx : shard_ctx_) counters_.injected += ctx.injected;
-
-  // Every wake reached this route phase: no VC is released during route, so
-  // the next phase's wakes come from the releases after this point.
-  for (const NodeId router : woken_routers_) {
-    router_woken_[static_cast<std::size_t>(router)] = 0;
-  }
-  woken_routers_.clear();
   flush_buffered_traces();
 }
 
@@ -659,6 +683,13 @@ void Network::push_move(const ShardMove& move, ShardCtx& ctx) {
   if (tail_left_upstream) {
     assert(!msg.held.empty() && msg.held.front() == u.id);
     msg.held.erase(msg.held.begin());
+    if (u.channel >= first_injection_) {
+      // A freed injection VC wakes its sleeping source. The VC's node is the
+      // router this move's channel leaves, so it is ours in every mode.
+      const NodeId node = u.channel - first_injection_;
+      assert(shard_of_node(node) == ctx.shard);
+      ctx.src_active.insert(node);
+    }
     // A blocked header's routing answer may read its held chain, which
     // just shrank, and a released VC may be one a dormant header watches:
     // wake them. Both touch other shards' bytes, so more shards apply them

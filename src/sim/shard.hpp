@@ -91,6 +91,9 @@ struct ShardCtx {
 
   std::vector<MessageId> grants;  ///< Injection grants, node-then-queue order.
   std::int64_t injected = 0;
+  /// Scan positions of the headers granted a VC this route phase, ascending;
+  /// commit_route drops them from pending_.
+  std::vector<std::uint32_t> routed;
 
   std::vector<ShardMove> moves;
   std::vector<ShardPendingAdd> pending_adds;

@@ -67,9 +67,20 @@ std::int64_t SpatialHeatmap::total_blocked_cycles() const noexcept {
   return total;
 }
 
-std::int64_t SpatialHeatmap::total_injection_stalls() const noexcept {
+std::int64_t SpatialHeatmap::injection_stall_cycles(const Network& net,
+                                                    NodeId node) const {
+  const std::int64_t credited =
+      injection_stall_cycles_.at(static_cast<std::size_t>(node));
+  return net.hooks().heatmap == this
+             ? credited + net.injection_stall_span(node)
+             : credited;
+}
+
+std::int64_t SpatialHeatmap::total_injection_stalls(const Network& net) const {
   std::int64_t total = 0;
-  for (const std::int64_t s : injection_stall_cycles_) total += s;
+  for (std::size_t n = 0; n < injection_stall_cycles_.size(); ++n) {
+    total += injection_stall_cycles(net, static_cast<NodeId>(n));
+  }
   return total;
 }
 
@@ -98,7 +109,7 @@ std::string SpatialHeatmap::ascii_grid(const Network& net, Field field) const {
   if (field == Field::InjectionStalls) {
     for (NodeId n = 0; n < nodes; ++n) {
       value[static_cast<std::size_t>(n)] =
-          static_cast<double>(injection_stall_cycles_[static_cast<std::size_t>(n)]);
+          static_cast<double>(injection_stall_cycles(net, n));
     }
   } else {
     // Aggregate each node's incoming network channels.
@@ -222,7 +233,8 @@ void SpatialHeatmap::write_csv(std::ostream& out, const Network& net) const {
   for (std::size_t n = 0; n < injection_stall_cycles_.size(); ++n) {
     csv.row({"node", TableWriter::integer(static_cast<long long>(n)), "", "",
              "", "", "", "", "", "", "", "",
-             TableWriter::integer(injection_stall_cycles_[n])});
+             TableWriter::integer(
+                 injection_stall_cycles(net, static_cast<NodeId>(n)))});
   }
 }
 

@@ -8,8 +8,11 @@
 //    instant (each owned VC gains the interval's cycle count; "blocked"
 //    additionally requires the owning message's header to be blocked), i.e.
 //    piecewise-constant occupancy integration at the sampling resolution;
-//  * per-node injection-stall cycles — exact, counted in the route phase
-//    whenever a node's source queue stays non-empty after injection grants.
+//  * per-node injection-stall cycles — exact: one per route phase in which
+//    a node's source queue stays non-empty after injection grants. Such a
+//    node sleeps until an injection VC frees, so the network credits the
+//    phases it slept through at its next visit, and every reader adds the
+//    span still open (Network::injection_stall_span).
 //
 // Renderable as ASCII density grids for 2D topologies and dumpable as a
 // single CSV (channel, VC and node rows discriminated by a `row` column).
@@ -42,8 +45,8 @@ class SpatialHeatmap {
     ++channels_[static_cast<std::size_t>(channel)].traversals;
     ++vc_traversals_[static_cast<std::size_t>(vc)];
   }
-  void on_injection_stall(NodeId node) noexcept {
-    ++injection_stall_cycles_[static_cast<std::size_t>(node)];
+  void on_injection_stall(NodeId node, Cycle cycles) noexcept {
+    injection_stall_cycles_[static_cast<std::size_t>(node)] += cycles;
   }
 
   /// Occupancy accumulation at a sampling instant: every owned VC gains
@@ -55,13 +58,14 @@ class SpatialHeatmap {
   [[nodiscard]] const ChannelCounters& channel(ChannelId id) const {
     return channels_.at(static_cast<std::size_t>(id));
   }
-  [[nodiscard]] std::int64_t injection_stall_cycles(NodeId node) const {
-    return injection_stall_cycles_.at(static_cast<std::size_t>(node));
-  }
+  /// Stall cycles of `node` so far, its open span on `net` included when
+  /// this heatmap is the one `net` has installed.
+  [[nodiscard]] std::int64_t injection_stall_cycles(const Network& net,
+                                                    NodeId node) const;
 
   [[nodiscard]] std::int64_t total_traversals() const noexcept;
   [[nodiscard]] std::int64_t total_blocked_cycles() const noexcept;
-  [[nodiscard]] std::int64_t total_injection_stalls() const noexcept;
+  [[nodiscard]] std::int64_t total_injection_stalls(const Network& net) const;
 
   /// Network-channel ids (< `num_network_channels`) ordered by descending
   /// `traversals` (ties by id); at most `top` entries. The manifest's "hot

@@ -192,7 +192,7 @@ void write_heatmap_summary(JsonWriter& json, const SpatialHeatmap& heatmap,
   json.field("total_traversals", heatmap.total_traversals());
   json.field("total_blocked_cycles", heatmap.total_blocked_cycles());
   json.field("total_injection_stall_cycles",
-             heatmap.total_injection_stalls());
+             heatmap.total_injection_stalls(net));
   json.key("hot_channels").begin_array();
   for (const ChannelId id :
        heatmap.hottest_channels(8, net.num_network_channels())) {

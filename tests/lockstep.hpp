@@ -21,6 +21,7 @@
 #include "exp/experiment.hpp"
 #include "sim/network.hpp"
 #include "snapshot/snapshot.hpp"
+#include "telemetry/telemetry.hpp"
 #include "traffic/injection.hpp"
 #include "util/binio.hpp"
 #include "util/rng.hpp"
@@ -75,12 +76,36 @@ inline int step_cycle(Simulation& sim) {
   return sim.detector().tick(sim.network());
 }
 
+/// Every node's injection-stall count on the heatmap of `sim`'s telemetry,
+/// open stall spans included; empty when telemetry is off.
+inline std::vector<std::int64_t> stall_counts(Simulation& sim) {
+  std::vector<std::int64_t> counts;
+  if (const Telemetry* telemetry = sim.telemetry()) {
+    const Network& net = sim.network();
+    for (NodeId n = 0; n < net.topology().num_nodes(); ++n) {
+      counts.push_back(telemetry->heatmap().injection_stall_cycles(net, n));
+    }
+  }
+  return counts;
+}
+
+/// True when some source of `net` sleeps with an open stall span.
+inline bool any_source_sleeps(const Network& net) {
+  for (NodeId n = 0; n < net.topology().num_nodes(); ++n) {
+    if (net.injection_stall_span(n) > 0) return true;
+  }
+  return false;
+}
+
 /// Locksteps `cfg` in the default engine against the dense sweep and against
 /// `shards` shards, asserting every detector verdict matches each cycle and
-/// the full serialized network state and the structural invariants
-/// (dormant headers included) hold periodically and at the end.
+/// the full serialized network state, the heatmap stall counts (with
+/// telemetry on) and the structural invariants (dormant headers and
+/// sleeping sources included) hold periodically and at the end. When given,
+/// `sleeping_checks` counts the periodic checks at which some source of the
+/// default engine slept with an open stall span.
 inline void run_lockstep(const ExperimentConfig& cfg, Cycle cycles,
-                         int shards) {
+                         int shards, int* sleeping_checks = nullptr) {
   const StepMode others[] = {{"dense", true, 0}, {"shards", false, shards}};
   Simulation base(cfg);
   ASSERT_EQ(base.network().shards(), 1);
@@ -94,13 +119,20 @@ inline void run_lockstep(const ExperimentConfig& cfg, Cycle cycles,
 
   for (Cycle i = 0; i < cycles; ++i) {
     const int verdict = step_cycle(base);
-    if (i % 250 == 0) base.network().check_invariants();
+    if (i % 250 == 0) {
+      base.network().check_invariants();
+      if (sleeping_checks != nullptr && any_source_sleeps(base.network())) {
+        ++*sleeping_checks;
+      }
+    }
     for (std::size_t m = 0; m < sims.size(); ++m) {
       ASSERT_EQ(step_cycle(*sims[m]), verdict)
           << others[m].name << " diverged at cycle " << i;
       if (i % 250 == 0) {
         ASSERT_EQ(net_bytes(base.network()), net_bytes(sims[m]->network()))
             << others[m].name << " state diverged by cycle " << i;
+        ASSERT_EQ(stall_counts(base), stall_counts(*sims[m]))
+            << others[m].name << " stall counts diverged by cycle " << i;
         sims[m]->network().check_invariants();
       }
     }
@@ -111,6 +143,7 @@ inline void run_lockstep(const ExperimentConfig& cfg, Cycle cycles,
     Simulation& other = *sims[m];
     EXPECT_EQ(net_bytes(base.network()), net_bytes(other.network()));
     EXPECT_EQ(detector_bytes(base.detector()), detector_bytes(other.detector()));
+    EXPECT_EQ(stall_counts(base), stall_counts(other));
     EXPECT_EQ(base.network().counters().delivered,
               other.network().counters().delivered);
     EXPECT_EQ(base.network().counters().recovered,

@@ -10,7 +10,10 @@
 // contract: a network that just had a message removed must drain without a
 // dense sweep. The header-wake cases check that a dormant header is retried
 // after each event that can change its answer: a requested VC freed by a
-// delivery or by recovery, and its own held chain shrinking.
+// delivery or by recovery, and its own held chain shrinking. The source
+// cases check that a sleeping source wakes at every release of an injection
+// VC and that its heatmap stall count stays exact across a restore, a
+// reshard and a heatmap swap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +26,7 @@
 #include "routing/dor.hpp"
 #include "routing/routing.hpp"
 #include "routing/selection.hpp"
+#include "telemetry/heatmap.hpp"
 #include "topo/topology.hpp"
 
 #ifndef FLEXNET_CORPUS_DIR
@@ -76,6 +80,92 @@ TEST(StepEquivalence, AdaptiveVariantsWithRepeatedAnswers) {
     run_lockstep(apply_variant(grid_config(RoutingKind::TFAR, 0.6), variant),
                  2000, 8);
   }
+}
+
+TEST(StepEquivalence, SleepingSourcesWakeAtEverySite) {
+  // Saturation with two injection VCs per node and a recovery every three
+  // cycles: sources sleep with both injection VCs owned and wake when a tail
+  // leaves one (in the one-walk and the N-shard transmit path) or a
+  // recovery victim frees one. Every network has a heatmap attached, and
+  // each periodic check compares every node's stall count, its open span
+  // included, while sources sleep.
+  ExperimentConfig cfg = grid_config(RoutingKind::DOR, 0.9);
+  cfg.sim.injection_vcs = 2;
+  cfg.sim.message_length = 16;
+  cfg.detector.interval = 3;
+  cfg.telemetry.collect = true;
+  int sleeping_checks = 0;
+  run_lockstep(cfg, 2000, 4, &sleeping_checks);
+  EXPECT_GE(sleeping_checks, 6);
+}
+
+TEST(StepEquivalence, StallSpansCrossRestoreReshardAndHeatmapSwap) {
+  // A sleeping source's stall span must be credited exactly once whether it
+  // closes at a visit, at a restore that moves the clock back, across a
+  // reshard or at a heatmap swap. The dense sweep visits every source every
+  // cycle, so its spans never outlast one phase: it is the reference. The
+  // default engine also runs two shards for part of the run. DatelineDOR
+  // saturates without deadlocking, so sources keep sleeping and waking.
+  ExperimentConfig cfg = grid_config(RoutingKind::DatelineDOR, 0.9);
+  cfg.sim.vcs = 2;
+  cfg.sim.injection_vcs = 2;
+  cfg.sim.message_length = 16;
+  const auto run = [](Simulation& sim, int cycles) {
+    for (int i = 0; i < cycles; ++i) {
+      sim.injection().tick(sim.network());
+      sim.network().step();
+    }
+  };
+  std::vector<std::vector<std::uint8_t>> states;
+  std::vector<std::vector<std::int64_t>> counts;
+  for (const bool dense : {false, true}) {
+    SCOPED_TRACE(dense ? "dense" : "default");
+    Simulation sim(with_mode(cfg, {"", dense, 0}));
+    Network& net = sim.network();
+    SpatialHeatmap first(net);
+    SpatialHeatmap second(net);
+    NetworkHooks hooks = net.hooks();
+    hooks.heatmap = &first;
+    net.install_hooks(hooks);
+
+    run(sim, 300);
+    BinWriter saved;
+    net.save_state(saved);
+    run(sim, 100);
+    EXPECT_TRUE(dense || any_source_sleeps(net));
+    BinReader in(saved.bytes().data(), saved.bytes().size());
+    net.restore_state(in);  // back to cycle 300
+    run(sim, 100);
+    if (!dense) {
+      EXPECT_TRUE(any_source_sleeps(net));
+      net.set_shards(2);
+    }
+    run(sim, 100);
+    if (!dense) {
+      EXPECT_TRUE(any_source_sleeps(net));
+      net.set_shards(1);
+    }
+    run(sim, 100);
+    EXPECT_TRUE(dense || any_source_sleeps(net));
+    hooks.heatmap = &second;
+    net.install_hooks(hooks);
+    run(sim, 100);
+    EXPECT_TRUE(dense || any_source_sleeps(net));
+
+    states.push_back(net_bytes(net));
+    counts.emplace_back();
+    for (const SpatialHeatmap* heatmap : {&first, &second}) {
+      for (NodeId n = 0; n < net.topology().num_nodes(); ++n) {
+        counts.back().push_back(heatmap->injection_stall_cycles(net, n));
+      }
+    }
+    net.check_invariants();
+  }
+  EXPECT_EQ(states[0], states[1]);
+  EXPECT_EQ(counts[0], counts[1]);
+  EXPECT_GT(std::count_if(counts[0].begin(), counts[0].end(),
+                          [](std::int64_t c) { return c > 0; }),
+            0);
 }
 
 TEST(StepEquivalence, CommittedCorpusReplaysInEveryMode) {

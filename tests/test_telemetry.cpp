@@ -120,7 +120,7 @@ TEST(SpatialHeatmap, CountsTraversalsForSingleMessage) {
   EXPECT_EQ(heatmap.channel(net->injection_channel(0)).traversals, length);
   EXPECT_EQ(heatmap.channel(net->ejection_channel(5)).traversals, length);
 
-  EXPECT_EQ(heatmap.total_injection_stalls(), 0);
+  EXPECT_EQ(heatmap.total_injection_stalls(*net), 0);
   EXPECT_EQ(heatmap.total_blocked_cycles(), 0);  // never sampled
 }
 
@@ -158,13 +158,25 @@ TEST(SpatialHeatmap, CountsInjectionStalls) {
   hooks.heatmap = &heatmap;
   net->install_hooks(hooks);
 
-  // Two messages at the same node: the second waits for the injection VC.
-  net->enqueue_message(0, 5, 4);
-  net->enqueue_message(0, 6, 4);
+  // Two messages at the same node: the second waits for the injection VC
+  // from the first's grant (cycle 0) to its own, stalling in every route
+  // phase in between. The node sleeps meanwhile, so the count is read both
+  // while its stall span is still open and after it was credited.
+  const MessageId first = net->enqueue_message(0, 5, 4);
+  const MessageId second = net->enqueue_message(0, 6, 4);
+  net->step();
+  net->step();
+  EXPECT_EQ(heatmap.injection_stall_cycles(*net, 0), 2);
+  EXPECT_EQ(net->injection_stall_span(0), 2);
   for (int i = 0; i < 100; ++i) net->step();
   EXPECT_EQ(net->counters().delivered, 2);
-  EXPECT_GT(heatmap.injection_stall_cycles(0), 0);
-  EXPECT_EQ(heatmap.injection_stall_cycles(1), 0);
+  ASSERT_EQ(net->message(first).injected, 0);
+  // The first message's tail leaves the injection VC after four flits.
+  EXPECT_EQ(net->message(second).injected, 5);
+  EXPECT_EQ(heatmap.injection_stall_cycles(*net, 0), 5);
+  EXPECT_EQ(net->injection_stall_span(0), 0);
+  EXPECT_EQ(heatmap.injection_stall_cycles(*net, 1), 0);
+  EXPECT_EQ(heatmap.total_injection_stalls(*net), 5);
 }
 
 TEST(SpatialHeatmap, AsciiGridFor2DAndFallbackTable) {
